@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import harness, logic, radix
 from .machinefile import MachineFileError, parse_machine_file
@@ -237,32 +237,37 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    sink = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
-    try:
-        if args.distinct_only:
-            total, distinct = logic.distinctness_report(args.n, args.kind, args.allow_large)
-            print(f"{total} {distinct}", file=sink)
-            return 0
+    # Everything that can fail (the size guard included) runs before the
+    # output file is opened, so a failure leaves no file behind.
+    if args.distinct_only:
+        total, distinct = logic.distinctness_report(args.n, args.kind, args.allow_large)
+        lines: Iterable[str] = [f"{total} {distinct}"]
+    else:
         pairs = (
             logic.enumerate_unary(args.n, args.allow_large)
             if args.kind == "unary"
             else logic.enumerate_binary(args.n, args.allow_large)
         )
         if args.json:
-            objs = [table_to_obj(idx, table) for idx, table in pairs]
-            print(json.dumps(objs), file=sink)
-            return 0
-        for idx, table in pairs:
-            flat = _flat_index(idx)
-            if args.kind == "unary":
-                outs = ",".join(str(v.exponent) for v in table.outputs)
-            else:
-                outs = ",".join(str(v.exponent) for row in table.outputs for v in row)
-            print(f"{','.join(str(i) for i in flat)}\t{outs}", file=sink)
-        return 0
+            lines = [json.dumps([table_to_obj(idx, table) for idx, table in pairs])]
+        else:
+            lines = (_enumeration_line(idx, table) for idx, table in pairs)
+    sink = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    try:
+        for line in lines:
+            print(line, file=sink)
     finally:
         if sink is not sys.stdout:
             sink.close()
+    return 0
+
+
+def _enumeration_line(idx, table) -> str:
+    if isinstance(table, logic.UnaryTable):
+        outs = ",".join(str(v.exponent) for v in table.outputs)
+    else:
+        outs = ",".join(str(v.exponent) for row in table.outputs for v in row)
+    return f"{','.join(str(i) for i in _flat_index(idx))}\t{outs}"
 
 
 def cmd_tm(args) -> int:
@@ -282,19 +287,18 @@ def cmd_tm(args) -> int:
     if args.mode == "run":
         outcome = run_deterministic(machine, word, args.steps, want_trace=args.trace)
     elif args.mode == "accept":
-        outcome = accepts_within(machine, word, args.steps)
+        outcome = accepts_within(machine, word, args.steps, want_trace=args.trace)
     else:  # accept-space
         if args.space is None:
             raise UsageError("mode accept-space needs --space")
-        outcome = accepts_within_space(machine, word, args.steps, args.space)
+        outcome = accepts_within_space(
+            machine, word, args.steps, args.space, want_trace=args.trace
+        )
     if args.json:
-        obj = outcome_to_obj(outcome)
-        if not args.trace:
-            obj["trace"] = None
-        print(json.dumps(obj))
+        print(json.dumps(outcome_to_obj(outcome)))
         return 0
     print(f"{outcome.verdict} {outcome.steps_used}")
-    if args.trace and outcome.trace is not None:
+    if outcome.trace is not None:
         for desc in outcome.trace:
             print(str(desc))
     return 0
@@ -327,11 +331,15 @@ def cmd_encode(args) -> int:
         _expect_args(rest, 2, "check <other-word> <modulus>")
         other = _parse_word_arg(rest[0])
         result = radix.exponent_identity_check(word, other, _int_arg(rest[1]))
+    # str and json.dumps refuse an integer past the interpreter's int-to-str
+    # digit limit, so the value is written by radix.decimal_text and the
+    # JSON object is framed here.
+    literal = radix.decimal_text(result) if action == "value" else json.dumps(result)
     if args.json:
-        print(json.dumps({"word": radix.format_word(word), "action": action,
-                          "result": result}))
+        print(f'{{"word": {json.dumps(radix.format_word(word))}, '
+              f'"action": {json.dumps(action)}, "result": {literal}}}')
         return 0
-    print(str(result).lower() if isinstance(result, bool) else result)
+    print(result if isinstance(result, str) else literal)
     return 0
 
 

@@ -57,7 +57,7 @@ FAMILIES = ("scan-accept", "digit-sum-parity", "guessed-digit")
 DEFAULT_SYMBOL_CAP = 2**10
 
 _BLANK = "_"
-_MARK = "#"
+_MARK = "x"
 
 
 class UnknownFamily(ValueError):

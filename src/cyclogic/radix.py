@@ -19,6 +19,7 @@ their values agree modulo n.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 
 
@@ -166,7 +167,41 @@ def parse_word(text: str) -> RadixWord:
         raise WordSpecError(f"malformed word spec {text!r}; expected b:<base>|<digits>")
     try:
         base = int(head[2:])
-        digits = tuple(int(part) for part in body.split(",") if part != "")
+        # An empty body is the empty word; an empty field is malformed.
+        digits = tuple(int(part) for part in body.split(",")) if body else ()
     except ValueError:
         raise WordSpecError(f"malformed word spec {text!r}") from None
     return RadixWord(base, digits)
+
+
+#: Integers up to this many bits go through ``str`` directly; each is far
+#: below the interpreter's int-to-str digit limit.
+_DECIMAL_CHUNK_BITS = 2048
+
+
+def decimal_text(value: int) -> str:
+    """Exact decimal digits of a non-negative integer of any size.
+
+    ``str`` refuses integers past the interpreter's int-to-str digit limit
+    and is quadratic below it.  This splits the binary form in halves and
+    joins the halves in exact ``decimal`` arithmetic, whose large products
+    are fast, so the limit setting is neither needed nor changed.
+    """
+    if value < 0:
+        raise ValueError(f"value must be >= 0, got {value}")
+    if value.bit_length() <= _DECIMAL_CHUNK_BITS:
+        return str(value)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+    # powers[k] = 2 ** (_DECIMAL_CHUNK_BITS << k), exactly
+    powers = [ctx.power(2, _DECIMAL_CHUNK_BITS)]
+    while _DECIMAL_CHUNK_BITS << len(powers) < value.bit_length():
+        powers.append(ctx.multiply(powers[-1], powers[-1]))
+
+    def convert(x: int, k: int) -> decimal.Decimal:
+        if k < 0:
+            return decimal.Decimal(x)
+        bits = _DECIMAL_CHUNK_BITS << k
+        high = convert(x >> bits, k - 1)
+        return ctx.add(ctx.multiply(high, powers[k]), convert(x & ((1 << bits) - 1), k - 1))
+
+    return str(convert(value, len(powers) - 1))

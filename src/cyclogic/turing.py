@@ -23,6 +23,21 @@ Bounded acceptance searches the step graph breadth-first with visited-set
 deduplication, so an accepting outcome always carries a minimal-length
 witness path.  The space-bounded variant additionally prunes every
 configuration whose head positions exceed the bound.
+
+Every step costs O(tapes), whatever the tape length.  A deterministic run
+steps on one mutable list per tape.  The search stores each visited
+configuration as a node: its parent's id, the symbols its step wrote at
+the parent's head positions and the symbols they replaced, its state and
+its heads; it keeps no tape.
+Only frontier configurations have tapes, and siblings share their
+parent's until a second one with children of its own needs them.
+Deduplication keys on (state, heads, tape lengths, digest), where the
+digest is the XOR of hash((tape, square, symbol)) over the non-blank
+cells, taken relative to the input and updated at the written cell only.
+Every key match is confirmed exactly, by comparing what the two nodes'
+paths wrote since their common ancestor, so verdicts do not depend on
+hash values (which change between processes for str).  A witness path is
+rebuilt from the parent pointers only when one is asked for.
 """
 
 from __future__ import annotations
@@ -240,10 +255,11 @@ def initial_id(
 
 def scanned_symbols(m: TuringMachine, desc: InstantaneousDescription) -> tuple[str, ...]:
     """Symbol under each head; the square just past the word scans blank."""
-    return tuple(
-        tape[i - 1] if i <= len(tape) else m.blank
-        for tape, i in zip(desc.tapes, desc.heads)
-    )
+    return _scan(desc.tapes, desc.heads, m.blank)
+
+
+def _scan(tapes: Sequence[Sequence[str]], heads: Sequence[int], blank: str) -> tuple[str, ...]:
+    return tuple([tape[i - 1] if i <= len(tape) else blank for tape, i in zip(tapes, heads)])
 
 
 def successors(
@@ -260,27 +276,29 @@ def successors(
     scanned = scanned_symbols(m, desc)
     results: dict[InstantaneousDescription, None] = {}
     for tr in m.transitions.get((desc.state, scanned), ()):
-        nxt = _apply(desc, tr)
-        if nxt is not None:
-            results[nxt] = None
+        heads = _moved(desc.heads, tr.moves)
+        if 0 in heads:
+            continue
+        tapes = tuple(
+            tape[: i - 1] + (s,) + tape[i:]
+            for tape, i, s in zip(desc.tapes, desc.heads, tr.writes)
+        )
+        results[InstantaneousDescription(tr.next_state, tapes, heads)] = None
     return list(results)
 
 
-def _apply(
-    desc: InstantaneousDescription, tr: Transition
-) -> InstantaneousDescription | None:
-    for i, mv in zip(desc.heads, tr.moves):
-        if mv == "L" and i == 1:
-            return None
-    new_tapes = []
-    new_heads = []
-    for tape, i, w, mv in zip(desc.tapes, desc.heads, tr.writes, tr.moves):
-        if i == len(tape) + 1:
-            new_tapes.append(tape + (w,))
+def _moved(heads: tuple[int, ...], moves: tuple[str, ...]) -> tuple[int, ...]:
+    """Head positions after a move; 0 marks a head ordered left from square 1."""
+    return tuple([i + 1 if mv == "R" else i - 1 for i, mv in zip(heads, moves)])
+
+
+def _write(tapes: list[list[str]], heads: Sequence[int], writes: Sequence[str]) -> None:
+    """Write one symbol per tape at the head, growing a tape scanned past its end."""
+    for tape, i, s in zip(tapes, heads, writes):
+        if i > len(tape):
+            tape.append(s)
         else:
-            new_tapes.append(tape[: i - 1] + (w,) + tape[i:])
-        new_heads.append(i + 1 if mv == "R" else i - 1)
-    return InstantaneousDescription(tr.next_state, tuple(new_tapes), tuple(new_heads))
+            tape[i - 1] = s
 
 
 def run_deterministic(
@@ -293,29 +311,39 @@ def run_deterministic(
     """
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
-    cur = initial_id(m, w)
+    start = initial_id(m, w)
+    table, blank = m.transitions, m.blank
+    state, heads = start.state, start.heads
+    tapes = [list(tape) for tape in start.tapes]
     steps = 0
-    max_head = max(cur.heads)
-    trace = [cur] if want_trace else None
+    max_head = max(heads)
+    trace = [start] if want_trace else None
     while True:
-        if cur.state == m.accept:
+        if state == m.accept:
             verdict = VERDICT_ACCEPTED
             break
-        if cur.state == m.reject:
+        if state == m.reject:
             verdict = VERDICT_REJECTED
             break
         if steps >= max_steps:
             verdict = VERDICT_BOUND_EXCEEDED
             break
-        nxt = successors(m, cur)
-        if not nxt:
+        scanned = _scan(tapes, heads, blank)
+        targets = table.get((state, scanned))
+        if not targets:
             verdict = VERDICT_DEAD_END
             break
-        cur = nxt[0]
+        tr = targets[0]
+        moved = _moved(heads, tr.moves)
+        if 0 in moved:
+            verdict = VERDICT_DEAD_END
+            break
+        _write(tapes, heads, tr.writes)
+        state, heads = tr.next_state, moved
         steps += 1
-        max_head = max(max_head, max(cur.heads))
+        max_head = max(max_head, *heads)
         if trace is not None:
-            trace.append(cur)
+            trace.append(InstantaneousDescription(state, tuple(map(tuple, tapes)), heads))
     return RunOutcome(verdict, steps, max_head, tuple(trace) if trace is not None else None)
 
 
@@ -342,6 +370,13 @@ def accepts_within_space(
     return _bounded_search(m, w, t, space=s, want_trace=want_trace)
 
 
+# A search node is (parent id, symbols its step wrote, symbols they
+# replaced, state, heads); the written squares are the parent's heads, and
+# a square the step appended replaced the blank.  The root is node 0, and
+# every node's id is larger than its parent's.
+_Node = tuple[int, tuple[str, ...], tuple[str, ...], str, tuple[int, ...]]
+
+
 def _bounded_search(
     m: TuringMachine,
     w: Word,
@@ -352,46 +387,129 @@ def _bounded_search(
     if t < 0:
         raise ValueError(f"step bound must be >= 0, got {t}")
     start = initial_id(m, w)
-    if space is not None and max(start.heads) > space:
-        return RunOutcome(VERDICT_DEAD_END, 0, max(start.heads))
-
-    parents: dict[InstantaneousDescription, InstantaneousDescription | None] = {start: None}
-    frontier = [start]
     max_head = max(start.heads)
+    if space is not None and max_head > space:
+        return RunOutcome(VERDICT_DEAD_END, 0, max_head)
+    if start.state == m.accept:
+        return RunOutcome(VERDICT_ACCEPTED, 0, max_head, (start,) if want_trace else None)
+    if t == 0:
+        return RunOutcome(VERDICT_BOUND_EXCEEDED, 0, max_head)
+
+    table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
+    # No head gets past square t + 1 within t steps, so t + 1 never prunes.
+    limit = t + 1 if space is None else space
+    nodes: list[_Node] = [(-1, (), (), start.state, start.heads)]
+    lengths = tuple(map(len, start.tapes))
+    # dedup key -> the nodes with that key, which differ in their tapes
+    seen = {(start.state, start.heads, lengths, 0): [0]}
+    # The frontier is a list of sibling groups: the materialised tapes of
+    # their parent, shared, and per member (id, state, heads, lengths,
+    # digest).  A member's own writes are not yet applied to those tapes.
+    frontier = [([list(tape) for tape in start.tapes],
+                 [(0, start.state, start.heads, lengths, 0)])]
     depth = 0
     while True:
-        for desc in frontier:
-            if desc.state == m.accept:
-                trace = _witness(parents, desc) if want_trace else None
-                return RunOutcome(VERDICT_ACCEPTED, depth, max_head, trace)
+        expanded = []
+        accepted = -1
+        for base, members in frontier:
+            for nid, state, heads, lengths, digest in members:
+                if state == reject:
+                    continue
+                # A step always moves every head off the square it wrote,
+                # so the parent's tapes show what this member scans.
+                scanned = _scan(base, heads, blank)
+                children = []
+                for tr in table.get((state, scanned), ()):
+                    moved = _moved(heads, tr.moves)
+                    if 0 in moved or max(moved) > limit:
+                        continue
+                    grown = tuple([n + (i > n) for n, i in zip(lengths, heads)])
+                    h = digest
+                    for j, (i, old, new) in enumerate(zip(heads, scanned, tr.writes)):
+                        if old != new:
+                            if old != blank:
+                                h ^= hash((j, i, old))
+                            if new != blank:
+                                h ^= hash((j, i, new))
+                    key = (tr.next_state, moved, grown, h)
+                    cid = len(nodes)
+                    nodes.append((nid, tr.writes, scanned, tr.next_state, moved))
+                    same_key = seen.get(key)
+                    if same_key is None:
+                        seen[key] = [cid]
+                    elif any(_same_tapes(nodes, cid, other) for other in same_key):
+                        nodes.pop()
+                        continue
+                    else:
+                        same_key.append(cid)
+                    children.append((cid, tr.next_state, moved, grown, h))
+                    max_head = max(max_head, *moved)
+                    if tr.next_state == accept and accepted < 0:
+                        accepted = cid
+                if children:
+                    expanded.append((base, nid, children))
+        if not expanded:
+            return RunOutcome(VERDICT_DEAD_END, depth, max_head)
+        depth += 1
+        if accepted >= 0:
+            trace = _witness(nodes, start, accepted) if want_trace else None
+            return RunOutcome(VERDICT_ACCEPTED, depth, max_head, trace)
         if depth == t:
             return RunOutcome(VERDICT_BOUND_EXCEEDED, t, max_head)
-        nxt = []
-        for desc in frontier:
-            for child in successors(m, desc):
-                if space is not None and max(child.heads) > space:
-                    continue
-                if child in parents:
-                    continue
-                parents[child] = desc
-                nxt.append(child)
-                max_head = max(max_head, max(child.heads))
-        if not nxt:
-            return RunOutcome(VERDICT_DEAD_END, depth, max_head)
-        frontier = nxt
-        depth += 1
+        # Materialise the tapes of every member with children.  Siblings
+        # share their parent's tapes; the last sibling that needs them
+        # takes them over, the others copy.
+        frontier = []
+        for k, (base, nid, children) in enumerate(expanded):
+            shared = k + 1 < len(expanded) and expanded[k + 1][0] is base
+            tapes = [list(tape) for tape in base] if shared else base
+            parent, writes, _, _, _ = nodes[nid]
+            if parent >= 0:
+                _write(tapes, nodes[parent][4], writes)
+            frontier.append((tapes, children))
+
+
+def _same_tapes(nodes: list[_Node], a: int, b: int) -> bool:
+    """Exact check behind a dedup-key match: do nodes ``a`` and ``b``, equal
+    in state, heads and tape lengths, have the same tapes?
+
+    Walks both up to their lowest common ancestor, always moving the larger
+    id (never an ancestor of the smaller), and notes per square the latest
+    symbol on each side and the ancestor's symbol, which the earliest write
+    on either side replaced.  Squares written on neither side are the
+    ancestor's on both.
+    """
+    mine: dict[tuple[int, int], str] = {}
+    theirs: dict[tuple[int, int], str] = {}
+    ancestor: dict[tuple[int, int], str] = {}
+    while a != b:
+        if a > b:
+            nid, a, side = a, nodes[a][0], mine
+        else:
+            nid, b, side = b, nodes[b][0], theirs
+        parent, writes, replaced, _, _ = nodes[nid]
+        for square, new, old in zip(enumerate(nodes[parent][4]), writes, replaced):
+            side.setdefault(square, new)
+            ancestor[square] = old
+    return all(mine.get(sq, old) == theirs.get(sq, old) for sq, old in ancestor.items())
 
 
 def _witness(
-    parents: dict[InstantaneousDescription, InstantaneousDescription | None],
-    last: InstantaneousDescription,
+    nodes: list[_Node], start: InstantaneousDescription, last: int
 ) -> tuple[InstantaneousDescription, ...]:
-    path = [last]
-    cur: InstantaneousDescription | None = last
-    while (cur := parents[cur]) is not None:
-        path.append(cur)
-    path.reverse()
-    return tuple(path)
+    """The path from the root to node ``last``, rebuilt from parent pointers."""
+    path = []
+    while last > 0:
+        path.append(nodes[last])
+        last = nodes[last][0]
+    tapes = [list(tape) for tape in start.tapes]
+    heads = start.heads
+    trace = [start]
+    for _, writes, _, state, moved in reversed(path):
+        _write(tapes, heads, writes)
+        heads = moved
+        trace.append(InstantaneousDescription(state, tuple(map(tuple, tapes)), heads))
+    return tuple(trace)
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,33 @@
 """Independent oracles the library is checked against.
 
-Nothing here calls into the engine's step logic: the brute-force acceptor
-re-implements the step semantics from scratch (plain recursion over all
-transition-choice sequences, no visited sets), and the value oracle uses
-Horner evaluation instead of a power table.
+The brute-force acceptor re-implements the step semantics from scratch
+(plain recursion over all transition-choice sequences, no visited sets),
+and the value oracle uses Horner evaluation instead of a power table.
+``reference_search`` is the engine's former breadth-first search: it keeps
+every visited configuration whole and steps with ``turing.successors``.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from cyclogic.turing import InstantaneousDescription, TuringMachine
+from cyclogic import turing
+from cyclogic.turing import InstantaneousDescription, RunOutcome, TuringMachine
 
 
 def naive_value(digits, base):
     """Horner-scheme base conversion, most-significant digit first."""
     return reduce(lambda acc, d: acc * base + d, reversed(tuple(digits)), 0)
+
+
+def decimal_value(text):
+    """Value of a decimal digit string of any length, read in chunks that
+    stay below the interpreter's int-to-str digit limit."""
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i : i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def naive_binary_digits(value, length=None):
@@ -73,6 +85,64 @@ def brute_force_accepts(m: TuringMachine, word, t: int) -> bool:
         return False
 
     return explore(start, 0)
+
+
+def reference_search(m: TuringMachine, w, t: int, space=None) -> RunOutcome:
+    """Bounded breadth-first acceptance over whole configurations, with a
+    visited set and the witness path; ``space`` prunes configurations with
+    a head past it."""
+    if t < 0:
+        raise ValueError(f"step bound must be >= 0, got {t}")
+    start = turing.initial_id(m, w)
+    if space is not None and max(start.heads) > space:
+        return RunOutcome(turing.VERDICT_DEAD_END, 0, max(start.heads))
+    parents = {start: None}
+    frontier = [start]
+    max_head = max(start.heads)
+    depth = 0
+    while True:
+        for desc in frontier:
+            if desc.state == m.accept:
+                path = [desc]
+                while (desc := parents[desc]) is not None:
+                    path.append(desc)
+                return RunOutcome(turing.VERDICT_ACCEPTED, depth, max_head, tuple(reversed(path)))
+        if depth == t:
+            return RunOutcome(turing.VERDICT_BOUND_EXCEEDED, t, max_head)
+        nxt = []
+        for desc in frontier:
+            for child in turing.successors(m, desc):
+                if space is not None and max(child.heads) > space:
+                    continue
+                if child in parents:
+                    continue
+                parents[child] = desc
+                nxt.append(child)
+                max_head = max(max_head, max(child.heads))
+        if not nxt:
+            return RunOutcome(turing.VERDICT_DEAD_END, depth, max_head)
+        frontier = nxt
+        depth += 1
+
+
+def reference_run(m: TuringMachine, w, max_steps: int) -> RunOutcome:
+    """Deterministic run by iterating ``turing.successors``, trace included."""
+    cur = turing.initial_id(m, w)
+    trace = [cur]
+    verdict = None
+    while verdict is None:
+        if cur.state == m.accept:
+            verdict = turing.VERDICT_ACCEPTED
+        elif cur.state == m.reject:
+            verdict = turing.VERDICT_REJECTED
+        elif len(trace) > max_steps:
+            verdict = turing.VERDICT_BOUND_EXCEEDED
+        elif not (nxt := turing.successors(m, cur)):
+            verdict = turing.VERDICT_DEAD_END
+        else:
+            cur = nxt[0]
+            trace.append(cur)
+    return RunOutcome(verdict, len(trace) - 1, max(max(d.heads) for d in trace), tuple(trace))
 
 
 def step_rule_violations(m: TuringMachine, parent, child) -> list[str]:

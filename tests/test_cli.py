@@ -6,6 +6,7 @@ import pytest
 
 from cyclogic import cli, fixtures, harness, logic, radix
 from cyclogic.cli import main
+from oracles import decimal_value, naive_value
 
 
 @pytest.fixture
@@ -116,6 +117,14 @@ class TestEnumerate:
         tables = [cli.table_from_obj(o)[1] for o in objs]
         assert tables == [t for _, t in logic.enumerate_unary(2)]
 
+    def test_failed_guard_leaves_no_file(self, capsys, tmp_path):
+        path = tmp_path / "family.txt"
+        for extra in ([], ["--json"], ["--distinct-only"]):
+            assert main(["enumerate", "--n", "9", "--kind", "unary",
+                         "--output", str(path)] + extra) == 1
+            assert not path.exists()
+        assert "enumeration" in capsys.readouterr().err
+
     def test_output_file_sink(self, capsys, tmp_path):
         path = tmp_path / "family.txt"
         assert main(["enumerate", "--n", "2", "--kind", "unary",
@@ -173,6 +182,17 @@ class TestEncode:
     def test_value(self, capsys):
         assert main(["encode", "b:16|3,10", "value"]) == 0
         assert capsys.readouterr().out.strip() == "163"
+
+    def test_value_past_the_int_to_str_limit(self, capsys):
+        digits = [(d * 0x9E3779B97F4A7C15 + 12345) % 2**64 for d in range(3000)]
+        spec = f"b:{2**64}|{','.join(map(str, digits))}"
+        assert main(["encode", spec, "value"]) == 0
+        text = capsys.readouterr().out.strip()
+        assert len(text) > 4300
+        assert decimal_value(text) == naive_value(digits, 2**64)
+        assert main(["encode", spec, "value", "--json"]) == 0
+        obj = json.loads(capsys.readouterr().out, parse_int=decimal_value)
+        assert obj == {"word": spec, "action": "value", "result": naive_value(digits, 2**64)}
 
     def test_rebase(self, capsys):
         assert main(["encode", "b:16|3,10", "rebase", "2"]) == 0

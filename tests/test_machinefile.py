@@ -2,7 +2,7 @@
 
 import pytest
 
-from cyclogic import fixtures, machinefile, turing
+from cyclogic import fixtures, harness, machinefile, turing
 
 
 class TestParsing:
@@ -32,6 +32,16 @@ class TestParsing:
         for name, m in fixtures.fixture_suite().items():
             text = machinefile.format_machine(m)
             assert machinefile.parse_machine(text) == m, name
+
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    def test_round_trip_harness_pairs(self, family):
+        for b in range(2, 11):
+            if family == "digit-sum-parity" and b & (b - 1):
+                continue
+            for l in (1, 2, 3):
+                for m in harness.build_machine_pair(family, l, b):
+                    text = machinefile.format_machine(m)
+                    assert machinefile.parse_machine(text) == m, (family, l, b)
 
     def test_writes_blank_parses_then_fails_validation(self):
         m = machinefile.parse_machine(fixtures.WRITES_BLANK_FILE)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclogic import radix
-from oracles import naive_binary_digits, naive_value
+from oracles import decimal_value, naive_binary_digits, naive_value
 
 
 def words(max_base=2**12, max_len=8):
@@ -178,9 +178,11 @@ class TestTextForm:
         assert radix.format_word(w) == "b:16|3,10"
         assert radix.parse_word("b:16|3,10") == w
         assert radix.parse_word("b:2|") == radix.RadixWord(2, ())
+        assert radix.parse_word("b:10|") == radix.RadixWord(10, ())
 
     def test_malformed(self):
-        for bad in ("16|3,10", "b:16;3", "b:x|1", "b:16|3,y"):
+        for bad in ("16|3,10", "b:16;3", "b:x|1", "b:16|3,y",
+                    "b:10|1,,2", "b:10|1,", "b:10|,1", "b:10|,"):
             with pytest.raises(radix.WordSpecError):
                 radix.parse_word(bad)
 
@@ -188,3 +190,20 @@ class TestTextForm:
         with pytest.raises(ValueError) as exc_info:
             radix.parse_word("b:16|3,17")
         assert not isinstance(exc_info.value, radix.WordSpecError)
+
+
+class TestDecimalText:
+    @given(st.integers(0, 2**5000))
+    @settings(max_examples=50)
+    def test_matches_str(self, n):
+        assert radix.decimal_text(n) == str(n)
+
+    def test_past_the_int_to_str_limit(self):
+        for n in (10**5000, 10**5000 - 1, 2**40000 + 12345, 7 * 2**(2048 << 3)):
+            text = radix.decimal_text(n)
+            assert text.isdigit() and text[0] != "0"
+            assert decimal_value(text) == n
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            radix.decimal_text(-1)

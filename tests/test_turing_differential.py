@@ -1,0 +1,155 @@
+"""The search and run engine against the reference engine in ``oracles``.
+
+Random small machines (1-2 tapes, deterministic and nondeterministic, with
+loops, left moves from square 1 and writes that grow the tape) must give
+exactly the reference outcome, witness path included, for every step and
+space bound.
+"""
+
+import itertools
+from dataclasses import replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from cyclogic import fixtures, turing
+from cyclogic.turing import Transition, make_machine
+from oracles import brute_force_accepts, reference_run, reference_search
+
+MAX_T = 7
+MAX_SPACE = 5
+
+
+@st.composite
+def machines(draw, deterministic=None):
+    """A machine and an input word.  Every (state, scanned) key, final
+    states included, draws its own target list; an empty one leaves the
+    key out of the table."""
+    tapes = draw(st.integers(1, 2))
+    work = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    states = work + ["qA", "qR"]
+    inputs = draw(st.sampled_from([["a"], ["a", "b"]]))
+    written = inputs + ["x"]
+    if deterministic is None:
+        deterministic = draw(st.booleans())
+    targets = st.lists(
+        st.builds(
+            Transition,
+            st.sampled_from(states),
+            st.tuples(*[st.sampled_from(written)] * tapes),
+            st.tuples(*[st.sampled_from("LR")] * tapes),
+        ),
+        max_size=1 if deterministic else 3,
+    )
+    transitions = {}
+    for key in itertools.product(states, itertools.product(written + ["_"], repeat=tapes)):
+        if chosen := draw(targets):
+            transitions[key] = chosen
+    m = make_machine(
+        states=states,
+        tape_alphabet=written + ["_"],
+        blank="_",
+        input_alphabet=inputs,
+        transitions=transitions,
+        initial="q0",
+        accept="qA",
+        reject="qR",
+        tapes=tapes,
+    )
+    word = tuple(draw(st.lists(st.sampled_from(inputs), max_size=4)))
+    return m, word
+
+
+def assert_search_matches(m, word):
+    for t in range(MAX_T + 1):
+        want = reference_search(m, word, t)
+        assert turing.accepts_within(m, word, t) == want, t
+        untraced = turing.accepts_within(m, word, t, want_trace=False)
+        assert untraced == replace(want, trace=None), t
+        assert (want.verdict == "accepted") == brute_force_accepts(m, word, t), t
+        for s in range(1, MAX_SPACE + 1):
+            want = reference_search(m, word, t, space=s)
+            assert turing.accepts_within_space(m, word, t, s) == want, (t, s)
+
+
+def assert_run_matches(m, word):
+    for t in range(MAX_T + 1):
+        want = reference_run(m, word, t)
+        assert turing.run_deterministic(m, word, t, want_trace=True) == want, t
+        assert turing.run_deterministic(m, word, t) == replace(want, trace=None), t
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines())
+def test_search_matches_reference(case):
+    assert_search_matches(*case)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines(deterministic=True))
+def test_run_matches_reference(case):
+    assert_run_matches(*case)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines())
+def test_exact_under_colliding_digests(case):
+    """With every digest term equal, each dedup-key match between different
+    tapes is a collision that only the exact comparison can settle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turing, "hash", lambda _: 0, raising=False)
+        assert_search_matches(*case)
+
+
+def one_tape(transitions):
+    return make_machine(
+        states={q for q, _ in transitions} | {"qA", "qR"},
+        tape_alphabet=["a", "b", "x", "_"],
+        blank="_",
+        input_alphabet=["a", "b"],
+        transitions={(q, (s,)): [Transition(p, (w,), (mv,)) for p, w, mv in targets]
+                     for (q, s), targets in transitions.items()},
+        initial="q0",
+        accept="qA",
+        reject="qR",
+    )
+
+
+#: Two siblings in the same state at the same square differ only in the
+#: symbol they wrote, and only the second one's symbol leads to acceptance.
+SIBLINGS = one_tape({
+    ("q0", "a"): [("q1", "a", "R"), ("q1", "b", "R")],
+    ("q1", "_"): [("q2", "x", "L")],
+    ("q2", "b"): [("qA", "b", "R")],
+})
+
+#: Deterministic loop that rewrites square 1 and comes back to the start
+#: configuration after four steps.
+REWRITING_LOOP = one_tape({
+    ("q0", "a"): [("q1", "b", "R")],
+    ("q1", "a"): [("q2", "a", "L")],
+    ("q2", "b"): [("q3", "a", "R")],
+    ("q3", "a"): [("q0", "a", "L")],
+})
+
+
+@pytest.mark.parametrize("colliding", [False, True])
+@pytest.mark.parametrize("m, word, verdict", [
+    (SIBLINGS, "a", "accepted"),
+    (REWRITING_LOOP, "aa", "dead-end"),
+])
+def test_crafted_machines(m, word, verdict, colliding):
+    with pytest.MonkeyPatch.context() as mp:
+        if colliding:
+            mp.setattr(turing, "hash", lambda _: 0, raising=False)
+        assert turing.accepts_within(m, word, 10).verdict == verdict
+        assert_search_matches(m, tuple(word))
+
+
+def test_fixture_suite_matches_reference():
+    for m in fixtures.fixture_suite().values():
+        for word in ("", "a", "aa", "0", "00", "ab", "aab"):
+            if set(word) <= m.input_alphabet:
+                assert_search_matches(m, tuple(word))
+                if turing.is_deterministic(m):
+                    assert_run_matches(m, tuple(word))
