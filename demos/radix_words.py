@@ -5,7 +5,6 @@ from cyclogic import (
     RadixWord,
     exponent_identity_check,
     format_word,
-    make_power_table,
     rebase,
     rebased_length,
     symbol_shift,
@@ -33,9 +32,9 @@ for l in (1, 2, 3):
           f"(rebased_length says {rebased_length(l, b)})")
 
 print()
-print("== memorized powers back the evaluation ==")
-table = make_power_table(512, 4)
-print(f"  512^0..512^3 = {table.powers}")
+print("== evaluation pairs neighbouring digits under squared powers ==")
+w = RadixWord(512, (5, 0, 7, 1))
+print(f"  {format_word(w)}: (5 + 0*512) + (7 + 1*512) * 512^2 = {word_value(w)}")
 
 print()
 print("== a digit shift is the cyclic generator acting on one symbol ==")

@@ -24,7 +24,7 @@ for n, family in [(2, "unary"), (3, "unary"), (5, "unary"), (2, "binary"), (3, "
 print()
 print("== the four unary tables at arity 2 ==")
 for idx, table in enumerate_unary(2):
-    cells = ", ".join(f"z2^{a} -> {table.outputs[a]}" for a in range(2))
+    cells = ", ".join(f"z2^{a} -> z2^{table.outputs[a]}" for a in range(2))
     print(f"  index {idx.indices}: {cells}")
 
 print()

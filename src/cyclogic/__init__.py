@@ -33,11 +33,9 @@ from .logic import (
     unary_from_index,
 )
 from .radix import (
-    PowerTable,
     RadixWord,
     exponent_identity_check,
     format_word,
-    make_power_table,
     parse_word,
     rebase,
     rebased_length,
@@ -89,9 +87,8 @@ __all__ = [
     "distinctness_report", "enumerate_binary", "enumerate_unary",
     "exponent_product", "label_report", "make_value", "to_complex",
     "unary_from_index",
-    "PowerTable", "RadixWord", "exponent_identity_check", "format_word",
-    "make_power_table", "parse_word", "rebase", "rebased_length",
-    "symbol_shift", "word_value",
+    "RadixWord", "exponent_identity_check", "format_word", "parse_word",
+    "rebase", "rebased_length", "symbol_shift", "word_value",
     "InstantaneousDescription", "NotDeterministic", "RunOutcome",
     "TimeBoundReport", "TimeBoundRow", "Transition", "TuringMachine",
     "Violation", "accepts_within", "accepts_within_space",

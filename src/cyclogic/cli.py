@@ -47,13 +47,13 @@ def table_to_obj(
             "modulus": table.modulus,
             "kind": "unary",
             "index": list(index.indices),
-            "outputs": [v.exponent for v in table.outputs],
+            "outputs": list(table.outputs),
         }
     return {
         "modulus": table.modulus,
         "kind": "binary",
         "index": [list(row) for row in index.matrix],
-        "outputs": [[v.exponent for v in row] for row in table.outputs],
+        "outputs": [list(row) for row in table.outputs],
     }
 
 
@@ -61,14 +61,14 @@ def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
                                        logic.UnaryTable | logic.BinaryTable]:
     n = obj["modulus"]
     if obj["kind"] == "unary":
-        idx = logic.UnaryIndex(n, tuple(obj["index"]))
-        table = logic.UnaryTable(n, tuple(logic.LogicValue(n, e) for e in obj["outputs"]))
-        return idx, table
-    idx = logic.BinaryIndex(n, tuple(tuple(row) for row in obj["index"]))
-    table = logic.BinaryTable(
-        n, tuple(tuple(logic.LogicValue(n, e) for e in row) for row in obj["outputs"])
+        return (
+            logic.UnaryIndex(n, tuple(obj["index"])),
+            logic.UnaryTable(n, tuple(obj["outputs"])),
+        )
+    return (
+        logic.BinaryIndex(n, tuple(map(tuple, obj["index"]))),
+        logic.BinaryTable(n, tuple(map(tuple, obj["outputs"]))),
     )
-    return idx, table
 
 
 def id_to_obj(desc: InstantaneousDescription) -> dict:
@@ -109,42 +109,17 @@ def outcome_from_obj(obj: dict) -> RunOutcome:
 # ---------------------------------------------------------------------------
 # Text rendering
 
-def _value_grid_unary(table: logic.UnaryTable) -> str:
+def _value_grid(table: logic.UnaryTable | logic.BinaryTable) -> str:
     n = table.modulus
-    lines = ["a\tout"]
-    for a in range(n):
-        lines.append(f"z{n}^{a}\t{table.outputs[a]}")
-    return "\n".join(lines)
-
-
-def _value_grid_binary(table: logic.BinaryTable) -> str:
-    n = table.modulus
-    header = "a\\b\t" + "\t".join(f"z{n}^{b}" for b in range(n))
-    lines = [header]
-    for a in range(n):
-        lines.append(f"z{n}^{a}\t" + "\t".join(str(v) for v in table.outputs[a]))
-    return "\n".join(lines)
-
-
-def _classification_lines(
-    kind: str,
-    flat_index: tuple[int, ...],
-    table: logic.UnaryTable | logic.BinaryTable,
-    conv: logic.TruthConvention,
-) -> list[str]:
-    if table.modulus != 2:
-        return []
-    if kind == "unary":
-        computed = logic.classify_unary(table, conv)  # type: ignore[arg-type]
+    if isinstance(table, logic.UnaryTable):
+        header, rows = "a\tout", [(e,) for e in table.outputs]
     else:
-        computed = logic.classify_binary(table, conv)  # type: ignore[arg-type]
-    lines = [f"classification: {computed}"]
-    label = logic.catalog_label(kind, flat_index)  # type: ignore[arg-type]
-    if label is not None:
-        normalized = logic.CATALOG_TO_CONNECTIVE[label]
-        verdict = "agrees" if normalized == computed else "disagrees"
-        lines.append(f"catalog label: {label} ({verdict})")
-    return lines
+        header = "a\\b\t" + "\t".join(f"z{n}^{b}" for b in range(n))
+        rows = table.outputs
+    lines = [header]
+    for a, row in enumerate(rows):
+        lines.append(f"z{n}^{a}\t" + "\t".join(f"z{n}^{e}" for e in row))
+    return "\n".join(lines)
 
 
 def _parse_index(kind: str, n: int, text: str):
@@ -179,59 +154,55 @@ def _flat_index(idx) -> tuple[int, ...]:
     return tuple(v for row in idx.matrix for v in row)
 
 
+def _classification(args, idx, table) -> dict:
+    """The classification fields that ``table`` (at n=2) and ``classify``
+    print: the computed connective, the catalog label and whether the two
+    agree.  Off arity 2 the classifier raises "not boolean" (exit 1)."""
+    classify = logic.classify_unary if args.kind == "unary" else logic.classify_binary
+    computed = classify(table, logic.TruthConvention(args.true_exponent))
+    label = logic.catalog_label(args.kind, _flat_index(idx))
+    return {
+        "classification": computed,
+        "catalog_label": label,
+        "catalog_agrees": (
+            None if label is None else logic.CATALOG_TO_CONNECTIVE[label] == computed
+        ),
+    }
+
+
+def _catalog_lines(fields: dict) -> list[str]:
+    if fields["catalog_label"] is None:
+        return []
+    verdict = "agrees" if fields["catalog_agrees"] else "disagrees"
+    return [f"catalog label: {fields['catalog_label']} ({verdict})"]
+
+
 # ---------------------------------------------------------------------------
 # Commands
 
 def cmd_table(args) -> int:
     idx, table = _build_table(args)
-    conv = logic.TruthConvention(args.true_exponent)
+    fields = _classification(args, idx, table) if table.modulus == 2 else {}
     if args.json:
-        obj = table_to_obj(idx, table)
-        if table.modulus == 2:
-            if args.kind == "unary":
-                obj["classification"] = logic.classify_unary(table, conv)
-            else:
-                obj["classification"] = logic.classify_binary(table, conv)
-            label = logic.catalog_label(args.kind, _flat_index(idx))
-            obj["catalog_label"] = label
-            obj["catalog_agrees"] = (
-                None if label is None
-                else logic.CATALOG_TO_CONNECTIVE[label] == obj["classification"]
-            )
-        print(json.dumps(obj))
+        print(json.dumps({**table_to_obj(idx, table), **fields}))
         return 0
-    grid = (
-        _value_grid_unary(table)
-        if args.kind == "unary"
-        else _value_grid_binary(table)
-    )
     print(f"{args.kind} table, n={args.n}, index {args.index}")
-    print(grid)
-    for line in _classification_lines(args.kind, _flat_index(idx), table, conv):
-        print(line)
+    print(_value_grid(table))
+    if fields:
+        print(f"classification: {fields['classification']}")
+        for line in _catalog_lines(fields):
+            print(line)
     return 0
 
 
 def cmd_classify(args) -> int:
     idx, table = _build_table(args)
-    conv = logic.TruthConvention(args.true_exponent)
-    if args.kind == "unary":
-        computed = logic.classify_unary(table, conv)
-    else:
-        computed = logic.classify_binary(table, conv)
+    fields = _classification(args, idx, table)
     if args.json:
-        label = logic.catalog_label(args.kind, _flat_index(idx))
-        print(json.dumps({
-            "classification": computed,
-            "catalog_label": label,
-            "catalog_agrees": (
-                None if label is None
-                else logic.CATALOG_TO_CONNECTIVE[label] == computed
-            ),
-        }))
+        print(json.dumps(fields))
         return 0
-    print(computed)
-    for line in _classification_lines(args.kind, _flat_index(idx), table, conv)[1:]:
+    print(fields["classification"])
+    for line in _catalog_lines(fields):
         print(line)
     return 0
 
@@ -263,11 +234,10 @@ def cmd_enumerate(args) -> int:
 
 
 def _enumeration_line(idx, table) -> str:
-    if isinstance(table, logic.UnaryTable):
-        outs = ",".join(str(v.exponent) for v in table.outputs)
-    else:
-        outs = ",".join(str(v.exponent) for row in table.outputs for v in row)
-    return f"{','.join(str(i) for i in _flat_index(idx))}\t{outs}"
+    outs = table.outputs
+    if isinstance(table, logic.BinaryTable):
+        outs = tuple(e for row in outs for e in row)
+    return f"{','.join(map(str, _flat_index(idx)))}\t{','.join(map(str, outs))}"
 
 
 def cmd_tm(args) -> int:

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
+import statistics
 from dataclasses import dataclass
 from typing import IO, Iterable
-
-import numpy as np
 
 from .radix import RadixWord, format_word, parse_word, rebase
 from .turing import (
@@ -314,10 +314,9 @@ def fit_exponent(pairs: Iterable[tuple[int, int]]) -> float | None:
     points = [(x, y) for x, y in pairs if x > 0 and y > 0]
     if len({x for x, _ in points}) < 2:
         return None
-    xs = np.log([float(x) for x, _ in points])
-    ys = np.log([float(y) for _, y in points])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [math.log(x) for x, _ in points]
+    ys = [math.log(y) for _, y in points]
+    return statistics.linear_regression(xs, ys).slope
 
 
 def run_experiment(spec: ExperimentSpec) -> StepReport:

@@ -13,10 +13,16 @@ Two generator operations build everything else:
 From these the module enumerates the complete families of one-argument
 (n^n members) and two-argument (n^(n*n) members) logic functions, checks
 their pairwise distinctness, and, for arity 2, classifies each table
-against the standard boolean connectives.  A bundled label catalog records
-the names the 4 + 16 arity-2 tables are conventionally printed with;
-``label_report`` compares those labels against the computed classification
-and flags every disagreement instead of adopting either side.
+against the standard boolean connectives.  A table cell is a plain
+exponent: the one-argument table of index i holds (a + i_a) mod n and the
+two-argument table (a*b + i_ab) mod n, the generators' results computed
+directly.  ``LogicValue`` objects appear only at the edges: the
+generators, ``make_value``, ``to_complex`` and the ``apply_*`` lookups.
+
+A bundled label catalog records the names the 4 + 16 arity-2 tables are
+conventionally printed with; ``label_report`` compares those labels
+against the computed classification and flags every disagreement instead
+of adopting either side.
 """
 
 from __future__ import annotations
@@ -92,6 +98,23 @@ def cyclic_shift(n: int, k: int, v: LogicValue) -> LogicValue:
     return LogicValue(n, (v.exponent + k) % n)
 
 
+def _check_row(n: int, row: tuple[int, ...], what: str, entry: str) -> None:
+    if len(row) != n:
+        raise ValueError(f"{what} has {len(row)} entries, expected {n}")
+    for e in row:
+        if not 0 <= e < n:
+            raise ValueError(f"{entry} {e} out of range [0, {n})")
+
+
+def _check_grid(
+    n: int, rows: tuple[tuple[int, ...], ...], what: str, entry: str
+) -> None:
+    if len(rows) != n:
+        raise ValueError(f"{what} has {len(rows)} rows, expected {n}")
+    for row in rows:
+        _check_row(n, row, f"{what} row", entry)
+
+
 @dataclass(frozen=True)
 class UnaryIndex:
     """Index vector (i_0, ..., i_{n-1}) selecting one unary table."""
@@ -101,13 +124,7 @@ class UnaryIndex:
 
     def __post_init__(self) -> None:
         _check_arity(self.modulus)
-        if len(self.indices) != self.modulus:
-            raise ValueError(
-                f"index vector has {len(self.indices)} entries, expected {self.modulus}"
-            )
-        for i in self.indices:
-            if not 0 <= i < self.modulus:
-                raise ValueError(f"index entry {i} out of range [0, {self.modulus})")
+        _check_row(self.modulus, self.indices, "index vector", "index entry")
 
 
 @dataclass(frozen=True)
@@ -119,53 +136,33 @@ class BinaryIndex:
 
     def __post_init__(self) -> None:
         _check_arity(self.modulus)
-        if len(self.matrix) != self.modulus:
-            raise ValueError(
-                f"index matrix has {len(self.matrix)} rows, expected {self.modulus}"
-            )
-        for row in self.matrix:
-            if len(row) != self.modulus:
-                raise ValueError(
-                    f"index matrix row has {len(row)} entries, expected {self.modulus}"
-                )
-            for i in row:
-                if not 0 <= i < self.modulus:
-                    raise ValueError(
-                        f"index entry {i} out of range [0, {self.modulus})"
-                    )
+        _check_grid(self.modulus, self.matrix, "index matrix", "index entry")
 
 
 @dataclass(frozen=True)
 class UnaryTable:
-    """Truth table of a one-argument function; slot a holds the output for z_n^a."""
+    """Truth table of a one-argument function; slot a holds the exponent of
+    the output for z_n^a."""
 
     modulus: int
-    outputs: tuple[LogicValue, ...]
+    outputs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.outputs) != self.modulus:
-            raise ValueError("output count must equal the modulus")
-        for out in self.outputs:
-            if out.modulus != self.modulus:
-                raise ValueError("table outputs must share the table's modulus")
+        _check_arity(self.modulus)
+        _check_row(self.modulus, self.outputs, "output vector", "output exponent")
 
 
 @dataclass(frozen=True)
 class BinaryTable:
-    """Truth table of a two-argument function; cell (a, b) holds the output."""
+    """Truth table of a two-argument function; cell (a, b) holds the exponent
+    of the output."""
 
     modulus: int
-    outputs: tuple[tuple[LogicValue, ...], ...]
+    outputs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.outputs) != self.modulus:
-            raise ValueError("row count must equal the modulus")
-        for row in self.outputs:
-            if len(row) != self.modulus:
-                raise ValueError("column count must equal the modulus")
-            for out in row:
-                if out.modulus != self.modulus:
-                    raise ValueError("table outputs must share the table's modulus")
+        _check_arity(self.modulus)
+        _check_grid(self.modulus, self.outputs, "output table", "output exponent")
 
 
 @dataclass(frozen=True)
@@ -180,23 +177,18 @@ class TruthConvention:
 
 
 def unary_from_index(idx: UnaryIndex) -> UnaryTable:
-    """Table of a |-> shift(z_n^a, i_a) for the given index vector."""
+    """Table of a |-> shift(z_n^a, i_a), i.e. exponents (a + i_a) mod n."""
     n = idx.modulus
-    outputs = tuple(
-        cyclic_shift(n, idx.indices[a], LogicValue(n, a)) for a in range(n)
-    )
-    return UnaryTable(n, outputs)
+    return UnaryTable(n, tuple((a + i) % n for a, i in enumerate(idx.indices)))
 
 
 def binary_from_index(idx: BinaryIndex) -> BinaryTable:
-    """Table of (a, b) |-> shift(z_n^(a*b), i_ab) for the given index matrix."""
+    """Table of (a, b) |-> shift(z_n^(a*b), i_ab), i.e. exponents
+    (a*b + i_ab) mod n."""
     n = idx.modulus
     outputs = tuple(
-        tuple(
-            cyclic_shift(n, idx.matrix[a][b], exponent_product(n, a, b))
-            for b in range(n)
-        )
-        for a in range(n)
+        tuple((a * b + i) % n for b, i in enumerate(row))
+        for a, row in enumerate(idx.matrix)
     )
     return BinaryTable(n, outputs)
 
@@ -266,14 +258,14 @@ def apply_unary(t: UnaryTable, v: LogicValue) -> LogicValue:
     """Look up the table output for v."""
     if v.modulus != t.modulus:
         raise ValueError(f"modulus mismatch: value has {v.modulus}, table {t.modulus}")
-    return t.outputs[v.exponent]
+    return LogicValue(t.modulus, t.outputs[v.exponent])
 
 
 def apply_binary(t: BinaryTable, a: LogicValue, b: LogicValue) -> LogicValue:
     """Look up the table output for the pair (a, b)."""
     if a.modulus != t.modulus or b.modulus != t.modulus:
         raise ValueError("modulus mismatch between arguments and table")
-    return t.outputs[a.exponent][b.exponent]
+    return LogicValue(t.modulus, t.outputs[a.exponent][b.exponent])
 
 
 UNARY_NAMES = ("identity", "negation", "constant-true", "constant-false")
@@ -315,8 +307,8 @@ def classify_unary(t: UnaryTable, conv: TruthConvention = TruthConvention()) -> 
     """Name a modulus-2 unary table as one of the four boolean functions."""
     _require_boolean(t.modulus)
     true_e = conv.true_exponent
-    out_on_true = t.outputs[true_e].exponent == true_e
-    out_on_false = t.outputs[1 - true_e].exponent == true_e
+    out_on_true = t.outputs[true_e] == true_e
+    out_on_false = t.outputs[1 - true_e] == true_e
     if out_on_true and not out_on_false:
         return "identity"
     if not out_on_true and out_on_false:
@@ -333,7 +325,7 @@ def classify_binary(t: BinaryTable, conv: TruthConvention = TruthConvention()) -
     false_e = 1 - true_e
 
     def truth(a_exp: int, b_exp: int) -> bool:
-        return t.outputs[a_exp][b_exp].exponent == true_e
+        return t.outputs[a_exp][b_exp] == true_e
 
     pattern = (
         truth(true_e, true_e),

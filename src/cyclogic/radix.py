@@ -3,7 +3,9 @@
 A RadixWord is a base-b digit sequence stored least-significant-first, so
 the word (A0, A1, ..., A_{l-1}) has value sum(A_i * b**i).  Values are
 plain Python integers (arbitrary precision — the bases of interest grow
-like 2**(l*l), past any fixed-width type already at l = 3).
+like 2**(l*l), past any fixed-width type already at l = 3).  ``word_value``
+combines neighbouring digits under repeatedly squared powers of the base,
+so it keeps no table of powers and multiplies numbers of balanced size.
 
 ``rebase`` changes the digit base while preserving the value exactly.
 One combination gets a normative padding rule: a length-l word in base
@@ -52,35 +54,22 @@ class RadixWord:
         return format_word(self)
 
 
-@dataclass(frozen=True)
-class PowerTable:
-    """Memorized constants base**0 ... base**(count-1)."""
+def word_value(w: RadixWord) -> int:
+    """Evaluate sum(digit_i * base**i) by pairwise combination.
 
-    base: int
-    powers: tuple[int, ...]
-
-
-def make_power_table(base: int, count: int) -> PowerTable:
-    """Build base**0 ... base**(count-1) by iterated multiplication."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    powers = [1]
-    for _ in range(count - 1):
-        powers.append(powers[-1] * base)
-    return PowerTable(base, tuple(powers))
-
-
-def word_value(w: RadixWord, table: PowerTable | None = None) -> int:
-    """Evaluate sum(digit_i * base**i) using a table of memorized powers."""
-    if not w.digits:
-        return 0
-    if table is None:
-        table = make_power_table(w.base, len(w.digits))
-    elif table.base != w.base or len(table.powers) < len(w.digits):
-        raise ValueError("power table does not cover this word")
-    return sum(d * p for d, p in zip(w.digits, table.powers))
+    Each pass joins neighbouring values as low + high * p, where p is
+    base**1, base**2, base**4, ... in successive passes, so ceil(log2(l))
+    passes fold the word with products of balanced size and no table of
+    powers (Brent & Zimmermann, *Modern Computer Arithmetic*, §1.7).
+    """
+    values, power = list(w.digits), w.base
+    while len(values) > 1:
+        if len(values) % 2:
+            values.append(0)
+        values = [lo + hi * power for lo, hi in zip(values[::2], values[1::2])]
+        if len(values) > 1:
+            power *= power
+    return values[0] if values else 0
 
 
 def _is_power_of_two(n: int) -> bool:

@@ -2,7 +2,8 @@
 
 The brute-force acceptor re-implements the step semantics from scratch
 (plain recursion over all transition-choice sequences, no visited sets),
-and the value oracle uses Horner evaluation instead of a power table.
+and the value oracle uses Horner evaluation instead of the library's
+pairwise combination under squared powers.
 ``reference_search`` is the engine's former breadth-first search: it keeps
 every visited configuration whole and steps with ``turing.successors``.
 """
@@ -205,8 +206,8 @@ PRINTED_BINARY_TABLES = {
 
 
 def unary_exponents(table):
-    return tuple(v.exponent for v in table.outputs)
+    return table.outputs
 
 
 def binary_exponents(table):
-    return tuple(tuple(v.exponent for v in row) for row in table.outputs)
+    return table.outputs

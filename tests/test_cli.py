@@ -1,5 +1,6 @@
 """Command-line contract: outputs, exit codes 0/1/2, JSON round trips."""
 
+import itertools
 import json
 
 import pytest
@@ -72,6 +73,22 @@ class TestTable:
         assert idx == expected_idx
         assert table == logic.binary_from_index(expected_idx)
 
+    @pytest.mark.parametrize("obj", [
+        {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [0, 2]},
+        {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [0, -1]},
+        {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [0]},
+        {"modulus": 2, "kind": "binary", "index": [[0, 0], [0, 0]],
+         "outputs": [[0, 0], [0, 2]]},
+        {"modulus": 2, "kind": "binary", "index": [[0, 0], [0, 0]],
+         "outputs": [[0, 0]]},
+        {"modulus": 2, "kind": "binary", "index": [[0, 0], [0, 0]],
+         "outputs": [[0, 0], [0, 0, 0]]},
+        {"modulus": 1, "kind": "unary", "index": [0], "outputs": [0]},
+    ])
+    def test_from_obj_rejects_outside_input(self, obj):
+        with pytest.raises(ValueError):
+            cli.table_from_obj(obj)
+
     def test_json_includes_catalog_fields_for_arity_two(self, capsys):
         assert main(["table", "--n", "2", "--kind", "binary",
                      "--index", "0,0,0,0", "--json"]) == 0
@@ -90,6 +107,21 @@ class TestClassify:
     def test_not_boolean_is_a_domain_error(self, capsys):
         assert main(["classify", "--n", "3", "--kind", "unary", "--index", "0,0,0"]) == 1
         assert "not boolean" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("true_exponent", ["0", "1"])
+    def test_table_json_carries_the_classify_json_fields(self, capsys, true_exponent):
+        indexes = [("unary", flat) for flat in itertools.product((0, 1), repeat=2)]
+        indexes += [("binary", flat) for flat in itertools.product((0, 1), repeat=4)]
+        for kind, flat in indexes:
+            argv = ["--n", "2", "--kind", kind, "--index", ",".join(map(str, flat)),
+                    "--true-exponent", true_exponent, "--json"]
+            assert main(["table", *argv]) == 0
+            table_obj = json.loads(capsys.readouterr().out)
+            assert main(["classify", *argv]) == 0
+            classify_obj = json.loads(capsys.readouterr().out)
+            fields = ("classification", "catalog_label", "catalog_agrees")
+            assert list(classify_obj) == list(fields)
+            assert {k: table_obj[k] for k in fields} == classify_obj
 
 
 class TestEnumerate:

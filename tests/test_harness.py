@@ -3,8 +3,14 @@
 import io
 import itertools
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cyclogic import harness, radix, turing
 
@@ -242,6 +248,31 @@ class TestExponentFit:
     def test_degenerate_inputs(self):
         assert harness.fit_exponent([]) is None
         assert harness.fit_exponent([(3, 9), (3, 9), (3, 10)]) is None
+
+    @given(st.lists(st.tuples(st.integers(1, 10**4), st.integers(1, 10**6)),
+                    min_size=2, max_size=30))
+    def test_matches_the_centred_closed_form(self, points):
+        if len({x for x, _ in points}) < 2:
+            assert harness.fit_exponent(points) is None
+            return
+        xs = [math.log(x) for x, _ in points]
+        ys = [math.log(y) for _, y in points]
+        mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+        closed = (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                  / sum((x - mx) ** 2 for x in xs))
+        # relative to max(1, |slope|): near a zero slope the closed form's own
+        # rounding (about 1e-15 absolute) dominates any relative measure
+        assert math.isclose(harness.fit_exponent(points), closed,
+                            rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_cli_import_leaves_numpy_out(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, cyclogic.cli; print('numpy' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestReports:

@@ -117,7 +117,44 @@ class TestTables:
 
     def test_binary_ternary_all_zero_corner(self):
         table = logic.binary_from_index(logic.BinaryIndex(3, ((0,) * 3,) * 3))
-        assert table.outputs[2][2] == logic.LogicValue(3, 1)  # 2*2 mod 3
+        assert table.outputs[2][2] == 1  # 2*2 mod 3
+
+    def test_unary_cells_equal_the_generators(self):
+        for n in range(2, 6):
+            for idx, table in logic.enumerate_unary(n):
+                assert table.outputs == tuple(
+                    logic.cyclic_shift(n, idx.indices[a], logic.LogicValue(n, a)).exponent
+                    for a in range(n)
+                )
+
+    def test_binary_cells_equal_the_generators(self):
+        for n in range(2, 4):
+            for idx, table in logic.enumerate_binary(n):
+                assert table.outputs == tuple(
+                    tuple(
+                        logic.cyclic_shift(
+                            n, idx.matrix[a][b], logic.exponent_product(n, a, b)
+                        ).exponent
+                        for b in range(n)
+                    )
+                    for a in range(n)
+                )
+
+    @pytest.mark.parametrize("modulus, outputs", [
+        (2, (0, 2)), (2, (-1, 0)), (2, (0,)), (2, (0, 0, 0)), (1, (0,)),
+    ])
+    def test_unary_table_rejects_outside_input(self, modulus, outputs):
+        with pytest.raises(ValueError):
+            logic.UnaryTable(modulus, outputs)
+
+    @pytest.mark.parametrize("modulus, outputs", [
+        (2, ((0, 0), (0, 2))), (2, ((0, -1), (0, 0))), (2, ((0, 0),)),
+        (2, ((0, 0), (0, 0), (0, 0))), (2, ((0, 0), (0,))), (2, ((0, 0), (0, 0, 0))),
+        (1, ((0,),)),
+    ])
+    def test_binary_table_rejects_outside_input(self, modulus, outputs):
+        with pytest.raises(ValueError):
+            logic.BinaryTable(modulus, outputs)
 
     def test_index_invariants(self):
         with pytest.raises(ValueError):
