@@ -20,6 +20,7 @@ from .logic import (
     apply_unary,
     binary_from_index,
     catalog_label,
+    check_label,
     classify_binary,
     classify_unary,
     cyclic_shift,
@@ -83,7 +84,7 @@ __all__ = [
     "BinaryIndex", "BinaryTable", "EnumerationTooLarge", "LabelCheck",
     "LogicValue", "TruthConvention", "UnaryIndex", "UnaryTable",
     "apply_binary", "apply_unary", "binary_from_index", "catalog_label",
-    "classify_binary", "classify_unary", "cyclic_shift",
+    "check_label", "classify_binary", "classify_unary", "cyclic_shift",
     "distinctness_report", "enumerate_binary", "enumerate_unary",
     "exponent_product", "label_report", "make_value", "to_complex",
     "unary_from_index",

@@ -160,13 +160,11 @@ def _classification(args, idx, table) -> dict:
     agree.  Off arity 2 the classifier raises "not boolean" (exit 1)."""
     classify = logic.classify_unary if args.kind == "unary" else logic.classify_binary
     computed = classify(table, logic.TruthConvention(args.true_exponent))
-    label = logic.catalog_label(args.kind, _flat_index(idx))
+    check = logic.check_label(args.kind, _flat_index(idx), computed)
     return {
         "classification": computed,
-        "catalog_label": label,
-        "catalog_agrees": (
-            None if label is None else logic.CATALOG_TO_CONNECTIVE[label] == computed
-        ),
+        "catalog_label": None if check is None else check.catalog,
+        "catalog_agrees": None if check is None else check.agrees,
     }
 
 
@@ -212,7 +210,7 @@ def cmd_enumerate(args) -> int:
     # output file is opened, so a failure leaves no file behind.
     if args.distinct_only:
         total, distinct = logic.distinctness_report(args.n, args.kind, args.allow_large)
-        lines: Iterable[str] = [f"{total} {distinct}"]
+        lines: Iterable[str] = [f"{radix.decimal_text(total)} {radix.decimal_text(distinct)}"]
     else:
         pairs = (
             logic.enumerate_unary(args.n, args.allow_large)

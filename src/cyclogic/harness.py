@@ -73,13 +73,6 @@ def _digit_symbols(b: int) -> list[str]:
     return [str(d) for d in range(b)]
 
 
-def _wide_alphabet_guard(b: int, symbol_cap: int) -> None:
-    if b > symbol_cap:
-        raise AlphabetTooLarge(
-            f"alphabet of {b} symbols exceeds the cap {symbol_cap}"
-        )
-
-
 def _scan_accept_wide(l: int, b: int) -> TuringMachine:
     syms = _digit_symbols(b)
     transitions = {}
@@ -186,15 +179,14 @@ def _guessed_digit(b: int) -> TuringMachine:
     )
 
 
-def build_machine_pair(
-    family: str, l: int, b: int, symbol_cap: int = DEFAULT_SYMBOL_CAP
-) -> tuple[TuringMachine, TuringMachine]:
+def build_machine_pair(family: str, l: int, b: int) -> tuple[TuringMachine, TuringMachine]:
     """Build the (wide, binary) machine pair for a family at length l, base b."""
     if l < 1:
         raise ValueError(f"length must be >= 1, got {l}")
     if b < 2:
         raise ValueError(f"base must be >= 2, got {b}")
-    _wide_alphabet_guard(b, symbol_cap)
+    if b > DEFAULT_SYMBOL_CAP:
+        raise AlphabetTooLarge(f"alphabet of {b} symbols exceeds the cap {DEFAULT_SYMBOL_CAP}")
     if family == "scan-accept":
         return _scan_accept_wide(l, b), _accept_everything_binary()
     if family == "digit-sum-parity":
@@ -246,8 +238,18 @@ class ExperimentSpec:
         return int(self.base_rule)
 
 
-def spec_from_obj(obj: dict) -> ExperimentSpec:
-    """Build a spec from a parsed configuration document."""
+def _integer(field: str, value: object) -> int:
+    # bool is an int subclass, but true is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
+def spec_from_obj(obj: object) -> ExperimentSpec:
+    """Build a spec from a parsed configuration document, checking every
+    field's JSON type (floats and booleans are not integers)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
     expected = {"lengths", "base_rule", "words_per_length", "seed", "machine_family", "step_cap"}
     missing = expected - obj.keys()
     if missing:
@@ -255,13 +257,16 @@ def spec_from_obj(obj: dict) -> ExperimentSpec:
     extra = obj.keys() - expected
     if extra:
         raise ValueError(f"spec has unknown fields: {sorted(extra)}")
+    if not isinstance(obj["lengths"], list):
+        raise ValueError(f"lengths must be a list, got {obj['lengths']!r}")
+    base_rule = obj["base_rule"]
     return ExperimentSpec(
-        lengths=tuple(obj["lengths"]),
-        base_rule=obj["base_rule"],
-        words_per_length=int(obj["words_per_length"]),
-        seed=int(obj["seed"]),
+        lengths=tuple(_integer("every length", l) for l in obj["lengths"]),
+        base_rule=base_rule if isinstance(base_rule, str) else _integer("base_rule", base_rule),
+        words_per_length=_integer("words_per_length", obj["words_per_length"]),
+        seed=_integer("seed", obj["seed"]),
         machine_family=obj["machine_family"],
-        step_cap=int(obj["step_cap"]),
+        step_cap=_integer("step_cap", obj["step_cap"]),
     )
 
 
@@ -417,25 +422,25 @@ def report_from_obj(obj: dict) -> StepReport:
 def emit_report(report: StepReport, fmt: str, sink: IO[str]) -> None:
     """Write the report as CSV rows or as the structured JSON document."""
     if fmt == "csv":
+        rows = report_to_obj(report)["rows"]
         writer = csv.writer(sink)
-        writer.writerow(["l", "b", "word", "steps_wide", "steps_binary", "agree", "capped"])
-        for r in report.rows:
-            writer.writerow(
-                [
-                    r.length,
-                    r.base,
-                    format_word(r.word),
-                    "" if r.steps_wide is None else r.steps_wide,
-                    "" if r.steps_binary is None else r.steps_binary,
-                    str(r.agree).lower(),
-                    str(r.capped).lower(),
-                ]
-            )
+        if rows:  # run_experiment always yields rows; the header is their keys
+            writer.writerow(rows[0].keys())
+        writer.writerows([_csv_field(v) for v in row.values()] for row in rows)
     elif fmt == "json":
         json.dump(report_to_obj(report), sink, indent=2)
         sink.write("\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _csv_field(value: object) -> object:
+    """A JSON row value as a CSV field: null empty, booleans lowercase."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return str(value).lower()
+    return value
 
 
 def summary_line(report: StepReport) -> str:

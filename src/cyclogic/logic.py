@@ -11,13 +11,14 @@ Two generator operations build everything else:
 * ``cyclic_shift(n, k, v)`` rotates a value by k positions, z_n^(e+k).
 
 From these the module enumerates the complete families of one-argument
-(n^n members) and two-argument (n^(n*n) members) logic functions, checks
-their pairwise distinctness, and, for arity 2, classifies each table
-against the standard boolean connectives.  A table cell is a plain
-exponent: the one-argument table of index i holds (a + i_a) mod n and the
-two-argument table (a*b + i_ab) mod n, the generators' results computed
-directly.  ``LogicValue`` objects appear only at the edges: the
-generators, ``make_value``, ``to_complex`` and the ``apply_*`` lookups.
+(n^n members) and two-argument (n^(n*n) members) logic functions, counts
+their distinct members in closed form (index -> table is a bijection),
+and, for arity 2, classifies each table against the standard boolean
+connectives.  A table cell is a plain exponent: the one-argument table
+of index i holds (a + i_a) mod n and the two-argument table
+(a*b + i_ab) mod n, the generators' results computed directly.
+``LogicValue`` objects appear only at the edges: the generators,
+``make_value``, ``to_complex`` and the ``apply_*`` lookups.
 
 A bundled label catalog records the names the 4 + 16 arity-2 tables are
 conventionally printed with; ``label_report`` compares those labels
@@ -193,6 +194,21 @@ def binary_from_index(idx: BinaryIndex) -> BinaryTable:
     return BinaryTable(n, outputs)
 
 
+def _family_cells(family: str, n: int, allow_large: bool) -> int:
+    """Cells per table of a family (n unary, n*n binary) after its checks:
+    the family name, the arity, then the enumeration size guard."""
+    if family not in ("unary", "binary"):
+        raise ValueError(f"unknown family {family!r}")
+    _check_arity(n)
+    cells, limit = (n, UNARY_ENUM_LIMIT) if family == "unary" else (n * n, BINARY_ENUM_LIMIT)
+    if n > limit and not allow_large:
+        raise EnumerationTooLarge(
+            f"{family} enumeration for n={n} yields {n}^{cells} tables; "
+            f"pass allow_large=True to force it"
+        )
+    return cells
+
+
 def enumerate_unary(
     n: int, allow_large: bool = False
 ) -> Iterator[tuple[UnaryIndex, UnaryTable]]:
@@ -201,57 +217,35 @@ def enumerate_unary(
     The first index is the all-zero vector.  Refuses n > UNARY_ENUM_LIMIT
     at call time unless allow_large is set.
     """
-    _check_arity(n)
-    if n > UNARY_ENUM_LIMIT and not allow_large:
-        raise EnumerationTooLarge(
-            f"unary enumeration for n={n} yields {n}^{n} tables; "
-            f"pass allow_large=True to force it"
-        )
-
-    def generate() -> Iterator[tuple[UnaryIndex, UnaryTable]]:
-        for combo in itertools.product(range(n), repeat=n):
-            idx = UnaryIndex(n, combo)
-            yield idx, unary_from_index(idx)
-
-    return generate()
+    cells = _family_cells("unary", n, allow_large)
+    indexes = (UnaryIndex(n, combo) for combo in itertools.product(range(n), repeat=cells))
+    return ((idx, unary_from_index(idx)) for idx in indexes)
 
 
 def enumerate_binary(
     n: int, allow_large: bool = False
 ) -> Iterator[tuple[BinaryIndex, BinaryTable]]:
     """Yield all n^(n*n) binary (index, table) pairs in lexicographic order."""
-    _check_arity(n)
-    if n > BINARY_ENUM_LIMIT and not allow_large:
-        raise EnumerationTooLarge(
-            f"binary enumeration for n={n} yields {n}^{n * n} tables; "
-            f"pass allow_large=True to force it"
-        )
-
-    def generate() -> Iterator[tuple[BinaryIndex, BinaryTable]]:
-        for combo in itertools.product(range(n), repeat=n * n):
-            matrix = tuple(combo[r * n : (r + 1) * n] for r in range(n))
-            idx = BinaryIndex(n, matrix)
-            yield idx, binary_from_index(idx)
-
-    return generate()
+    cells = _family_cells("binary", n, allow_large)
+    indexes = (
+        BinaryIndex(n, tuple(combo[r : r + n] for r in range(0, cells, n)))
+        for combo in itertools.product(range(n), repeat=cells)
+    )
+    return ((idx, binary_from_index(idx)) for idx in indexes)
 
 
 def distinctness_report(
     n: int, family: Literal["unary", "binary"], allow_large: bool = False
 ) -> tuple[int, int]:
-    """Materialize a whole family and return (total, distinct) table counts."""
-    if family == "unary":
-        pairs = enumerate_unary(n, allow_large)
-    elif family == "binary":
-        pairs = enumerate_binary(n, allow_large)
-    else:
-        raise ValueError(f"unknown family {family!r}")
-    total = 0
-    seen: set[UnaryTable | BinaryTable] = set()
-    for _, table in pairs:
-        total += 1
-        seen.add(table)
-    return total, len(seen)
+    """Return the (total, distinct) table counts of a whole family.
+
+    Table i holds (generator + i) mod n in every cell, so the index is read
+    back from the table as (cell - generator) mod n.  Index -> table is a
+    bijection, and both counts are n**cells: n^n unary, n^(n*n) binary.
+    Nothing is enumerated, but the enumerators' size guard still applies.
+    """
+    total = n ** _family_cells(family, n, allow_large)
+    return total, total
 
 
 def apply_unary(t: UnaryTable, v: LogicValue) -> LogicValue:
@@ -411,26 +405,29 @@ class LabelCheck:
     agrees: bool
 
 
+def check_label(
+    kind: Literal["unary", "binary"], index: tuple[int, ...], computed: str
+) -> LabelCheck | None:
+    """Compare the catalog label of a flattened arity-2 index with the
+    computed connective name; None if the index is uncataloged."""
+    label = catalog_label(kind, index)
+    if label is None:
+        return None
+    connective = CATALOG_TO_CONNECTIVE[label]
+    return LabelCheck(tuple(index), computed, label, connective, connective == computed)
+
+
 def label_report(
     kind: Literal["unary", "binary"] = "binary",
     conv: TruthConvention = TruthConvention(),
 ) -> tuple[LabelCheck, ...]:
     """Compare every arity-2 catalog label with the computed connective name."""
-    checks = []
+    _family_cells(kind, 2, allow_large=False)  # refuses an unknown kind
     if kind == "unary":
-        for idx, table in enumerate_unary(2):
-            flat = idx.indices
-            computed = classify_unary(table, conv)
-            label = UNARY_CATALOG[flat]
-            normalized = CATALOG_TO_CONNECTIVE[label]
-            checks.append(LabelCheck(flat, computed, label, normalized, computed == normalized))
-    elif kind == "binary":
-        for idx, table in enumerate_binary(2):
-            flat = idx.matrix[0] + idx.matrix[1]
-            computed = classify_binary(table, conv)
-            label = BINARY_CATALOG[flat]
-            normalized = CATALOG_TO_CONNECTIVE[label]
-            checks.append(LabelCheck(flat, computed, label, normalized, computed == normalized))
+        computed = [(idx.indices, classify_unary(t, conv)) for idx, t in enumerate_unary(2)]
     else:
-        raise ValueError(f"unknown family {kind!r}")
-    return tuple(checks)
+        computed = [
+            (idx.matrix[0] + idx.matrix[1], classify_binary(t, conv))
+            for idx, t in enumerate_binary(2)
+        ]
+    return tuple(check_label(kind, flat, name) for flat, name in computed)

@@ -225,32 +225,14 @@ def is_deterministic(m: TuringMachine) -> bool:
     return all(len(targets) == 1 for targets in m.transitions.values())
 
 
-def initial_id(
-    m: TuringMachine, w: Word, heads: Sequence[int] | None = None
-) -> InstantaneousDescription:
-    """Initial configuration: input on tape 1, other tapes empty, heads at 1.
-
-    ``heads`` overrides the start positions for experimentation; each must
-    still satisfy 1 <= head <= len(tape) + 1 — no other semantics are
-    assigned to nonstandard positions.
-    """
+def initial_id(m: TuringMachine, w: Word) -> InstantaneousDescription:
+    """Initial configuration: input on tape 1, other tapes empty, heads at 1."""
     word = tuple(w)
     for s in word:
         if s not in m.input_alphabet:
             raise ValueError(f"symbol {s!r} not in the input alphabet")
     tapes = (word,) + ((),) * (m.tapes - 1)
-    if heads is None:
-        head_tuple = (1,) * m.tapes
-    else:
-        head_tuple = tuple(heads)
-        if len(head_tuple) != m.tapes:
-            raise ValueError(f"expected {m.tapes} head positions, got {len(head_tuple)}")
-        for tape, i in zip(tapes, head_tuple):
-            if not 1 <= i <= len(tape) + 1:
-                raise ValueError(
-                    f"head position {i} outside [1, {len(tape) + 1}]"
-                )
-    return InstantaneousDescription(m.initial, tapes, head_tuple)
+    return InstantaneousDescription(m.initial, tapes, (1,) * m.tapes)
 
 
 def scanned_symbols(m: TuringMachine, desc: InstantaneousDescription) -> tuple[str, ...]:
@@ -309,6 +291,8 @@ def run_deterministic(
     Verdicts: accepted/rejected on reaching a final state, dead-end when no
     transition applies, bound-exceeded after max_steps steps.
     """
+    if max_steps < 0:
+        raise ValueError(f"step bound must be >= 0, got {max_steps}")
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
     start = initial_id(m, w)

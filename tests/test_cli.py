@@ -133,6 +133,14 @@ class TestEnumerate:
         assert main(["enumerate", "--n", "3", "--kind", "unary", "--distinct-only"]) == 0
         assert capsys.readouterr().out.strip() == "27 27"
 
+    def test_distinct_only_past_the_int_to_str_limit(self, capsys):
+        argv = ["enumerate", "--n", "60", "--kind", "binary", "--distinct-only",
+                "--allow-large"]
+        assert main(argv) == 0
+        total, distinct = capsys.readouterr().out.split()
+        assert total == distinct == radix.decimal_text(60**3600)
+        assert len(total) == 6402
+
     def test_guard_without_override(self, capsys):
         assert main(["enumerate", "--n", "4", "--kind", "binary"]) == 1
         assert "enumeration" in capsys.readouterr().err
@@ -192,6 +200,13 @@ class TestTm:
 
     def test_missing_file(self, capsys):
         assert main(["tm", "/no/such/file.tm", "--word", "a"]) == 2
+
+    @pytest.mark.parametrize("mode", ["run", "accept"])
+    def test_negative_step_bound_is_a_domain_error(self, capsys, even_a_file, mode):
+        assert main(["tm", even_a_file, "--word", "aa", "--mode", mode, "--steps", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: step bound must be >= 0, got -1\n"
 
     def test_accept_space(self, capsys, even_a_file):
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "accept-space",
@@ -279,6 +294,27 @@ class TestExperiment:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(scan_spec_obj(lengths=[])))
         assert main(["experiment", str(path)]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        [1, 2],
+        scan_spec_obj(lengths=3),
+        scan_spec_obj(lengths=["a"]),
+        scan_spec_obj(lengths=[1, True]),
+        scan_spec_obj(base_rule=2.5),
+        scan_spec_obj(base_rule=None),
+        scan_spec_obj(words_per_length=2.7),
+        scan_spec_obj(seed=True),
+        scan_spec_obj(step_cap="64"),
+    ])
+    def test_mistyped_spec_is_a_usage_error(self, capsys, tmp_path, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out_path = tmp_path / "report.csv"
+        assert main(["experiment", str(path), "--output", str(out_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: bad experiment spec: ")
+        assert not out_path.exists()
 
     def test_capped_rows_still_exit_zero(self, capsys, tmp_path):
         path = tmp_path / "capped.json"

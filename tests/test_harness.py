@@ -44,8 +44,6 @@ class TestMachinePairs:
     def test_alphabet_cap(self):
         with pytest.raises(harness.AlphabetTooLarge):
             harness.build_machine_pair("scan-accept", 1, 2**11)
-        wide, _ = harness.build_machine_pair("scan-accept", 1, 2**11, symbol_cap=2**11)
-        assert len(wide.input_alphabet) == 2**11
 
     def test_parity_needs_power_of_two_base(self):
         with pytest.raises(ValueError, match="power-of-two"):
@@ -298,6 +296,15 @@ class TestReports:
 
         rows = list(csv_mod.reader(io.StringIO(buf.getvalue())))
         assert radix.parse_word(rows[1][2]) == report.rows[0].word
+
+    def test_csv_null_and_boolean_fields(self):
+        row = harness.StepRow(1, 2, radix.RadixWord(2, (0,)), None, 3, False, True)
+        buf = io.StringIO()
+        harness.emit_report(harness.StepReport((row,), self.sample().summary), "csv", buf)
+        assert buf.getvalue() == (
+            "l,b,word,steps_wide,steps_binary,agree,capped\r\n"
+            "1,2,b:2|0,,3,false,true\r\n"
+        )
 
     def test_json_round_trip(self):
         report = self.sample()

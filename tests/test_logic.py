@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -212,17 +213,46 @@ class TestEnumeration:
         assert logic.distinctness_report(3, "unary") == (27, 27)
         assert logic.distinctness_report(2, "binary") == (16, 16)
 
+    # distinctness_report counts in closed form; these build and hash every
+    # table of the family, at the sizes of the acceptance suite.
     def test_unary_injective_up_to_n5(self):
         for n in range(2, 6):
-            total, distinct = logic.distinctness_report(n, "unary")
-            assert total == n**n
-            assert distinct == total
+            tables = [table for _, table in logic.enumerate_unary(n)]
+            assert len(tables) == len(set(tables)) == n**n
+            assert logic.distinctness_report(n, "unary") == (n**n, n**n)
 
     def test_binary_injective_up_to_n3(self):
         for n in range(2, 4):
-            total, distinct = logic.distinctness_report(n, "binary")
-            assert total == n ** (n * n)
-            assert distinct == total
+            tables = [table for _, table in logic.enumerate_binary(n)]
+            assert len(tables) == len(set(tables)) == n ** (n * n)
+            assert logic.distinctness_report(n, "binary") == (n ** (n * n),) * 2
+
+    def test_distinctness_is_closed_form(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("distinctness_report built a table")
+
+        for name in ("enumerate_unary", "enumerate_binary",
+                     "unary_from_index", "binary_from_index"):
+            monkeypatch.setattr(logic, name, refuse)
+        start = time.perf_counter()
+        assert logic.distinctness_report(9, "unary", allow_large=True) == (9**9, 9**9)
+        assert logic.distinctness_report(4, "binary", allow_large=True) == (4**16, 4**16)
+        assert time.perf_counter() - start < 0.5
+
+    def test_guard_order_is_family_arity_size(self):
+        with pytest.raises(ValueError, match="unknown family 'ternary'") as exc:
+            logic.distinctness_report(1, "ternary")
+        assert not isinstance(exc.value, logic.EnumerationTooLarge)
+        with pytest.raises(ValueError, match="arity too small"):
+            logic.distinctness_report(1, "binary")
+        with pytest.raises(ValueError, match="arity too small"):
+            logic.enumerate_binary(1)
+        with pytest.raises(logic.EnumerationTooLarge,
+                           match=r"unary enumeration for n=9 yields 9\^9 tables"):
+            logic.distinctness_report(9, "unary")
+        with pytest.raises(logic.EnumerationTooLarge,
+                           match=r"binary enumeration for n=4 yields 4\^16 tables"):
+            logic.enumerate_binary(4)
 
     def test_binary_family_is_every_boolean_function(self):
         generated = {
@@ -317,6 +347,17 @@ class TestCatalog:
         assert check.computed == "or"
         assert check.catalog == "nand"
         assert not check.agrees
+
+    def test_check_label(self):
+        assert logic.check_label("binary", (0, 0, 0, 0), "or") == logic.LabelCheck(
+            (0, 0, 0, 0), "or", "nand", "nand", False
+        )
+        assert logic.check_label("unary", (1, 1), "negation").agrees
+        assert logic.check_label("unary", (0, 1, 2), "negation") is None
+
+    def test_label_report_unknown_family(self):
+        with pytest.raises(ValueError, match="unknown family 'ternary'"):
+            logic.label_report("ternary")
 
 
 class TestHashingAndEquality:

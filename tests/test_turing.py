@@ -123,17 +123,6 @@ class TestInitialDescription:
         with pytest.raises(ValueError, match="input alphabet"):
             turing.initial_id(fixtures.even_a_machine(), "a$")
 
-    def test_custom_head_positions(self):
-        m = fixtures.even_a_machine()
-        desc = turing.initial_id(m, "aa", heads=(3,))
-        assert desc.heads == (3,)
-        with pytest.raises(ValueError, match="head position"):
-            turing.initial_id(m, "aa", heads=(4,))
-        with pytest.raises(ValueError, match="head position"):
-            turing.initial_id(m, "aa", heads=(0,))
-        with pytest.raises(ValueError, match="head positions"):
-            turing.initial_id(m, "aa", heads=(1, 1))
-
 
 class TestScannedSymbols:
     def test_within_and_past_the_word(self):
@@ -227,6 +216,11 @@ class TestDeterministicRun:
     def test_bound_zero(self):
         m = fixtures.even_a_machine()
         assert turing.run_deterministic(m, "a", 0).verdict == "bound-exceeded"
+
+    def test_negative_bound_rejected(self):
+        # the same refusal, message included, as the bounded searches
+        with pytest.raises(ValueError, match=r"step bound must be >= 0, got -1"):
+            turing.run_deterministic(fixtures.even_a_machine(), "aa", -1)
 
     def test_trace_records_the_whole_run(self):
         m = fixtures.even_a_machine()
