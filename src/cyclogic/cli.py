@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import harness, logic, radix
 from .machinefile import MachineFileError, parse_machine_file
@@ -210,7 +210,11 @@ def cmd_enumerate(args) -> int:
     # output file is opened, so a failure leaves no file behind.
     if args.distinct_only:
         total, distinct = logic.distinctness_report(args.n, args.kind, args.allow_large)
-        lines: Iterable[str] = [f"{radix.decimal_text(total)} {radix.decimal_text(distinct)}"]
+        total, distinct = radix.decimal_text(total), radix.decimal_text(distinct)
+        # framed by hand: json.dumps refuses counts past the int-to-str limit
+        lines: Iterable[str] = [
+            f'{{"total": {total}, "distinct": {distinct}}}' if args.json else f"{total} {distinct}"
+        ]
     else:
         pairs = (
             logic.enumerate_unary(args.n, args.allow_large)
@@ -221,7 +225,7 @@ def cmd_enumerate(args) -> int:
             lines = [json.dumps([table_to_obj(idx, table) for idx, table in pairs])]
         else:
             lines = (_enumeration_line(idx, table) for idx, table in pairs)
-    sink = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8")
+    sink = sys.stdout if args.output is None else _open_output(args.output)
     try:
         for line in lines:
             print(line, file=sink)
@@ -229,6 +233,13 @@ def cmd_enumerate(args) -> int:
         if sink is not sys.stdout:
             sink.close()
     return 0
+
+
+def _open_output(path: str, newline: str | None = None) -> IO[str]:
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise UsageError(f"cannot write output file: {exc}") from None
 
 
 def _enumeration_line(idx, table) -> str:
@@ -251,7 +262,11 @@ def cmd_tm(args) -> int:
         for v in errors:
             print(f"violation: {v.message}", file=sys.stderr)
         return 1
-    word = tuple(args.word)
+    # Multi-character symbols need separators; otherwise each character is one.
+    if any(len(s) > 1 for s in machine.input_alphabet):
+        word = tuple(args.word.split())
+    else:
+        word = tuple(args.word)
     if args.mode == "run":
         outcome = run_deterministic(machine, word, args.steps, want_trace=args.trace)
     elif args.mode == "accept":
@@ -332,7 +347,7 @@ def cmd_experiment(args) -> int:
         raise UsageError(f"bad experiment spec: {exc}")
     report = harness.run_experiment(spec)
     if args.output is not None:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+        with _open_output(args.output, newline="") as fh:
             harness.emit_report(report, args.format, fh)
     else:
         harness.emit_report(report, args.format, sys.stdout)
@@ -371,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--n", type=int, required=True)
     p_enum.add_argument("--kind", choices=("unary", "binary"), required=True)
     p_enum.add_argument("--distinct-only", action="store_true",
-                        help="print only 'total distinct' counts")
+                        help="print only the total and distinct counts")
     p_enum.add_argument("--allow-large", action="store_true",
                         help="override the enumeration size guard")
     p_enum.add_argument("--output", default=None, help="write to a file instead of stdout")
@@ -380,7 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tm = sub.add_parser("tm", help="run a machine from a description file")
     p_tm.add_argument("machine", help="machine description file")
-    p_tm.add_argument("--word", default="", help="input word (one character per symbol)")
+    p_tm.add_argument("--word", default="",
+                      help="input word: one character per symbol, or whitespace-separated "
+                           "symbols if the machine has a multi-character input symbol")
     p_tm.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
     p_tm.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
     p_tm.add_argument("-s", "--space", type=int, default=None, help="head-position bound")

@@ -31,7 +31,7 @@ import math
 import random
 import statistics
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, Sequence
 
 from .radix import RadixWord, format_word, parse_word, rebase
 from .turing import (
@@ -40,7 +40,6 @@ from .turing import (
     VERDICT_ACCEPTED,
     VERDICT_BOUND_EXCEEDED,
     accepts_within,
-    make_machine,
 )
 
 #: Emitted verbatim in every summary.
@@ -68,115 +67,70 @@ class AlphabetTooLarge(ValueError):
     """The wide alphabet would exceed the symbol cap."""
 
 
-def _digit_symbols(b: int) -> list[str]:
-    # digits >= 10 become multi-character symbol names
-    return [str(d) for d in range(b)]
+def _scanner(initial: str, symbols: Sequence[str], steps: dict, verdicts: dict) -> TuringMachine:
+    """A one-pass scanner over ``symbols``: each step rewrites the scanned
+    symbol unchanged and moves right.
 
-
-def _scan_accept_wide(l: int, b: int) -> TuringMachine:
-    syms = _digit_symbols(b)
+    ``steps[p][s]`` lists, in order, the states entered from p on s;
+    ``verdicts[p]`` is the final state p enters on the blank, writing the
+    mark.  Every state a step enters has steps or a verdict or is final, so
+    the states are ``initial``, qA, qR and those named here; the tape
+    alphabet is the symbols, the blank, and the mark if there are verdicts.
+    """
     transitions = {}
-    for i in range(l):
-        for s in syms:
-            transitions[(f"w{i}", (s,))] = (Transition(f"w{i+1}", (s,), ("R",)),)
-    transitions[(f"w{l}", (_BLANK,))] = (Transition("qA", (_MARK,), ("R",)),)
-    return make_machine(
-        states=[f"w{i}" for i in range(l + 1)] + ["qA", "qR"],
-        tape_alphabet=syms + [_MARK, _BLANK],
+    for p, row in steps.items():
+        for s, targets in row.items():
+            scanned = (s,)
+            transitions[(p, scanned)] = tuple([Transition(q, scanned, ("R",)) for q in targets])
+    for p, final in verdicts.items():
+        transitions[(p, (_BLANK,))] = (Transition(final, (_MARK,), ("R",)),)
+    # every target set is a tuple already, so make_machine's copy of the table is not needed
+    return TuringMachine(
+        states=frozenset((initial, "qA", "qR", *steps, *verdicts, *verdicts.values())),
+        tape_alphabet=frozenset((*symbols, _BLANK, *((_MARK,) if verdicts else ()))),
         blank=_BLANK,
-        input_alphabet=syms,
+        input_alphabet=frozenset(symbols),
         transitions=transitions,
-        initial="w0",
+        initial=initial,
         accept="qA",
         reject="qR",
     )
+
+
+def _scan_accept_wide(l: int, digits: Sequence[str]) -> TuringMachine:
+    steps = {f"w{i}": dict.fromkeys(digits, (f"w{i + 1}",)) for i in range(l)}
+    return _scanner("w0", digits, steps, {f"w{l}": "qA"})
 
 
 def _accept_everything_binary() -> TuringMachine:
-    transitions = {
-        ("s", ("0",)): (Transition("s", ("0",), ("R",)),),
-        ("s", ("1",)): (Transition("s", ("1",), ("R",)),),
-        ("s", (_BLANK,)): (Transition("qA", (_MARK,), ("R",)),),
-    }
-    return make_machine(
-        states=["s", "qA", "qR"],
-        tape_alphabet=["0", "1", _MARK, _BLANK],
-        blank=_BLANK,
-        input_alphabet=["0", "1"],
-        transitions=transitions,
-        initial="s",
-        accept="qA",
-        reject="qR",
-    )
+    return _scanner("s", "01", {"s": dict.fromkeys("01", ("s",))}, {"s": "qA"})
 
 
-def _parity_wide(b: int) -> TuringMachine:
-    syms = _digit_symbols(b)
-    transitions = {}
-    for p in (0, 1):
-        for d, s in enumerate(syms):
-            transitions[(f"p{p}", (s,))] = (
-                Transition(f"p{(p + d) % 2}", (s,), ("R",)),
-            )
-    transitions[("p0", (_BLANK,))] = (Transition("qA", (_MARK,), ("R",)),)
-    transitions[("p1", (_BLANK,))] = (Transition("qR", (_MARK,), ("R",)),)
-    return make_machine(
-        states=["p0", "p1", "qA", "qR"],
-        tape_alphabet=syms + [_MARK, _BLANK],
-        blank=_BLANK,
-        input_alphabet=syms,
-        transitions=transitions,
-        initial="p0",
-        accept="qA",
-        reject="qR",
-    )
+def _parity_wide(digits: Sequence[str]) -> TuringMachine:
+    nexts = (("p0",), ("p1",))
+    steps = {f"p{p}": {s: nexts[(p + d) % 2] for d, s in enumerate(digits)} for p in (0, 1)}
+    return _scanner("p0", digits, steps, {"p0": "qA", "p1": "qR"})
 
 
 def _parity_binary(b: int) -> TuringMachine:
     # Each base-b digit occupies log2(b) bits, least significant first, so
     # the digit's parity is the bit at field offset 0.  Track (offset, parity).
     m = b.bit_length() - 1
-    transitions = {}
+    steps, verdicts = {}, {}
     for j in range(m):
         for p in (0, 1):
             state = f"t{j}p{p}"
-            for bit in (0, 1):
-                flip = bit if j == 0 else 0
-                transitions[(state, (str(bit),))] = (
-                    Transition(f"t{(j + 1) % m}p{p ^ flip}", (str(bit),), ("R",)),
-                )
-            final = "qA" if p == 0 else "qR"
-            transitions[(state, (_BLANK,))] = (Transition(final, (_MARK,), ("R",)),)
-    return make_machine(
-        states=[f"t{j}p{p}" for j in range(m) for p in (0, 1)] + ["qA", "qR"],
-        tape_alphabet=["0", "1", _MARK, _BLANK],
-        blank=_BLANK,
-        input_alphabet=["0", "1"],
-        transitions=transitions,
-        initial="t0p0",
-        accept="qA",
-        reject="qR",
-    )
+            steps[state] = {
+                bit: (f"t{(j + 1) % m}p{p ^ (j == 0 and bit == '1')}",) for bit in "01"
+            }
+            verdicts[state] = "qR" if p else "qA"
+    return _scanner("t0p0", "01", steps, verdicts)
 
 
-def _guessed_digit(b: int) -> TuringMachine:
-    syms = _digit_symbols(b)
-    transitions = {("g", (syms[0],)): (Transition("g", (syms[0],), ("R",)),)}
-    for s in syms[1:]:
-        transitions[("g", (s,))] = (
-            Transition("g", (s,), ("R",)),
-            Transition("qA", (s,), ("R",)),
-        )
-    return make_machine(
-        states=["g", "qA", "qR"],
-        tape_alphabet=syms + [_BLANK],
-        blank=_BLANK,
-        input_alphabet=syms,
-        transitions=transitions,
-        initial="g",
-        accept="qA",
-        reject="qR",
-    )
+def _guessed_digit(digits: Sequence[str]) -> TuringMachine:
+    row = dict.fromkeys(digits, ("g", "qA"))
+    row["0"] = ("g",)
+    return _scanner("g", digits, {"g": row}, {})
 
 
 def build_machine_pair(family: str, l: int, b: int) -> tuple[TuringMachine, TuringMachine]:
@@ -187,16 +141,17 @@ def build_machine_pair(family: str, l: int, b: int) -> tuple[TuringMachine, Turi
         raise ValueError(f"base must be >= 2, got {b}")
     if b > DEFAULT_SYMBOL_CAP:
         raise AlphabetTooLarge(f"alphabet of {b} symbols exceeds the cap {DEFAULT_SYMBOL_CAP}")
+    digits = [str(d) for d in range(b)]  # digits >= 10 are multi-character symbols
     if family == "scan-accept":
-        return _scan_accept_wide(l, b), _accept_everything_binary()
+        return _scan_accept_wide(l, digits), _accept_everything_binary()
     if family == "digit-sum-parity":
         if b & (b - 1) != 0:
             raise ValueError(
                 f"digit-sum-parity needs a power-of-two base to align bit fields, got {b}"
             )
-        return _parity_wide(b), _parity_binary(b)
+        return _parity_wide(digits), _parity_binary(b)
     if family == "guessed-digit":
-        return _guessed_digit(b), _guessed_digit(2)
+        return _guessed_digit(digits), _guessed_digit("01")
     raise UnknownFamily(f"unknown machine family {family!r}")
 
 
@@ -259,6 +214,8 @@ def spec_from_obj(obj: object) -> ExperimentSpec:
         raise ValueError(f"spec has unknown fields: {sorted(extra)}")
     if not isinstance(obj["lengths"], list):
         raise ValueError(f"lengths must be a list, got {obj['lengths']!r}")
+    if not isinstance(obj["machine_family"], str):
+        raise ValueError(f"machine_family must be a string, got {obj['machine_family']!r}")
     base_rule = obj["base_rule"]
     return ExperimentSpec(
         lengths=tuple(_integer("every length", l) for l in obj["lengths"]),

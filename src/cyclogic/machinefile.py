@@ -14,7 +14,8 @@ ignored)::
     trans q0 [a] -> q1 [a] [R]
     trans q1 [_] -> qR [x] [R]
 
-Symbols are single visible characters; the blank is spelled ``_``.  Each
+Symbols are whitespace-separated names of any length (``0`` and ``1023``
+alike) holding no ``#``, ``[`` or ``]``; the blank is spelled ``_``.  Each
 ``trans`` line names one target <p; writes; moves> for the key (q; scanned
 symbols); duplicate keys accumulate into a nondeterministic target set in
 file order.  Bracketed lists carry exactly one symbol (or move) per tape.
@@ -32,6 +33,8 @@ from .turing import Transition, TuringMachine, make_machine
 _TRANS_RE = re.compile(
     r"^trans\s+(\S+)\s+\[([^\]]*)\]\s*->\s*(\S+)\s+\[([^\]]*)\]\s*\[([^\]]*)\]$"
 )
+
+_UNWRITABLE = re.compile(r"[\s#\[\]]")
 
 _DIRECTIVES = (
     "states",
@@ -121,10 +124,14 @@ def parse_machine_file(path: str) -> TuringMachine:
 
 
 def format_machine(m: TuringMachine) -> str:
-    """Render a machine back into the file grammar (single-char symbols only)."""
-    for s in m.tape_alphabet:
-        if len(s) != 1:
-            raise ValueError(f"symbol {s!r} is not a single character")
+    """Render a machine back into the file grammar.
+
+    Refuses symbols the grammar cannot carry: empty ones and those holding
+    whitespace, ``#``, ``[`` or ``]``.
+    """
+    for s in m.tape_alphabet | m.input_alphabet:
+        if not s or _UNWRITABLE.search(s):
+            raise ValueError(f"symbol {s!r} cannot be written in a machine file")
     lines = [
         "states " + " ".join(sorted(m.states)),
         f"tapes {m.tapes}",

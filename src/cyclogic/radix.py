@@ -108,9 +108,12 @@ def _digits_of(value: int, base: int, pad_to: int = 1) -> tuple[int, ...]:
 
 
 def rebased_length(l: int, b: int) -> int:
-    """Binary length of a length-l base-b word, b a power of two.
+    """Zero-padded binary length of a length-l base-b word, b a power of two:
+    log2(b) * l.
 
-    Equals log2(b) * l, which is l**3 in the b = 2**(l*l) case.
+    ``rebase(w, 2)`` returns exactly this many digits only for b = 2**(l*l),
+    where it is l**3; for other bases it returns the minimal digit count, of
+    which this is an upper bound.
     """
     if l < 0:
         raise ValueError(f"length must be >= 0, got {l}")

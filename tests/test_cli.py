@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from cyclogic import cli, fixtures, harness, logic, radix
+from cyclogic import cli, fixtures, harness, logic, machinefile, radix, turing
 from cyclogic.cli import main
 from oracles import decimal_value, naive_value
 
@@ -140,6 +140,13 @@ class TestEnumerate:
         total, distinct = capsys.readouterr().out.split()
         assert total == distinct == radix.decimal_text(60**3600)
         assert len(total) == 6402
+        assert main(argv + ["--json"]) == 0
+        assert capsys.readouterr().out == f'{{"total": {total}, "distinct": {total}}}\n'
+
+    def test_distinct_only_json(self, capsys):
+        argv = ["enumerate", "--n", "2", "--kind", "unary", "--distinct-only", "--json"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out) == {"total": 4, "distinct": 4}
 
     def test_guard_without_override(self, capsys):
         assert main(["enumerate", "--n", "4", "--kind", "binary"]) == 1
@@ -214,6 +221,15 @@ class TestTm:
         assert capsys.readouterr().out.splitlines()[0] == "accepted 3"
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "accept-space",
                      "-t", "10"]) == 2  # --space is required in this mode
+
+    def test_multichar_symbols_split_on_whitespace(self, capsys, tmp_path):
+        wide, _ = harness.build_machine_pair("scan-accept", 2, 16)
+        path = tmp_path / "scan16.tm"
+        path.write_text(machinefile.format_machine(wide))
+        assert main(["tm", str(path), "--word", "10 3", "--mode", "accept", "--json"]) == 0
+        expected = turing.accepts_within(wide, ("10", "3"), 10_000, want_trace=False)
+        assert json.loads(capsys.readouterr().out) == cli.outcome_to_obj(expected)
+        assert expected.verdict == "accepted" and expected.steps_used == 3
 
     def test_json_outcome_round_trip(self, capsys, even_a_file):
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "accept",
@@ -305,6 +321,8 @@ class TestExperiment:
         scan_spec_obj(words_per_length=2.7),
         scan_spec_obj(seed=True),
         scan_spec_obj(step_cap="64"),
+        scan_spec_obj(machine_family=["scan-accept"]),
+        scan_spec_obj(machine_family={"a": 1}),
     ])
     def test_mistyped_spec_is_a_usage_error(self, capsys, tmp_path, doc):
         path = tmp_path / "bad.json"
@@ -339,6 +357,22 @@ class TestExperiment:
         path = tmp_path / "fam.json"
         path.write_text(json.dumps(scan_spec_obj(machine_family="mystery")))
         assert main(["experiment", str(path)]) == 1
+
+
+@pytest.mark.parametrize("target", ["missing-dir/out", "existing-dir"])
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "2", "--kind", "unary"],
+    ["experiment", "SPEC"],
+], ids=["enumerate", "experiment"])
+def test_unwritable_output_is_a_usage_error(capsys, tmp_path, spec_file, argv, target):
+    (tmp_path / "existing-dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    argv = [spec_file if a == "SPEC" else a for a in argv]
+    assert main(argv + ["--output", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: cannot write output file: ")
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestParser:

@@ -55,6 +55,24 @@ class TestMachinePairs:
             assert turing.validation_errors(wide) == []
             assert turing.validation_errors(binary) == []
 
+    @pytest.mark.parametrize("family, wide_states, binary_states, wide_marks, binary_marks", [
+        ("scan-accept", {"w0", "w1", "w2"}, {"s"}, {"x"}, {"x"}),
+        ("digit-sum-parity", {"p0", "p1"}, {"t0p0", "t0p1", "t1p0", "t1p1"}, {"x"}, {"x"}),
+        ("guessed-digit", {"g"}, {"g"}, set(), set()),
+    ])
+    def test_derived_states_and_alphabets(
+        self, family, wide_states, binary_states, wide_marks, binary_marks
+    ):
+        wide, binary = harness.build_machine_pair(family, 2, 4)
+        for m, states, marks, digits in (
+            (wide, wide_states, wide_marks, {"0", "1", "2", "3"}),
+            (binary, binary_states, binary_marks, {"0", "1"}),
+        ):
+            assert m.states == states | {"qA", "qR"}
+            assert m.input_alphabet == digits
+            assert m.tape_alphabet == digits | marks | {"_"}
+            assert (m.blank, m.accept, m.reject, m.tapes) == ("_", "qA", "qR", 1)
+
     def test_scan_accept_is_real_time(self):
         wide, _ = harness.build_machine_pair("scan-accept", 2, 4)
         for digits in itertools.product(range(4), repeat=2):

@@ -35,13 +35,14 @@ class TestParsing:
 
     @pytest.mark.parametrize("family", harness.FAMILIES)
     def test_round_trip_harness_pairs(self, family):
-        for b in range(2, 11):
+        cases = [(l, b) for b in range(2, 11) for l in (1, 2, 3)]
+        cases += [(1, 16), (2, 16), (3, 512)]  # multi-character digit symbols
+        for l, b in cases:
             if family == "digit-sum-parity" and b & (b - 1):
                 continue
-            for l in (1, 2, 3):
-                for m in harness.build_machine_pair(family, l, b):
-                    text = machinefile.format_machine(m)
-                    assert machinefile.parse_machine(text) == m, (family, l, b)
+            for m in harness.build_machine_pair(family, l, b):
+                text = machinefile.format_machine(m)
+                assert machinefile.parse_machine(text) == m, (family, l, b)
 
     def test_writes_blank_parses_then_fails_validation(self):
         m = machinefile.parse_machine(fixtures.WRITES_BLANK_FILE)
@@ -78,16 +79,25 @@ class TestGrammarErrors:
         with pytest.raises(machinefile.MachineFileError, match="lengths"):
             machinefile.parse_machine(bad)
 
-    def test_format_refuses_multichar_symbols(self):
-        m = turing.make_machine(
+    @staticmethod
+    def one_symbol_machine(symbol):
+        return turing.make_machine(
             states=["q0", "qA", "qR"],
-            tape_alphabet=["d10", "_"],
+            tape_alphabet=[symbol, "_"],
             blank="_",
-            input_alphabet=["d10"],
-            transitions={},
+            input_alphabet=[symbol],
+            transitions={("q0", (symbol,)): (turing.Transition("qA", (symbol,), ("R",)),)},
             initial="q0",
             accept="qA",
             reject="qR",
         )
-        with pytest.raises(ValueError, match="single character"):
-            machinefile.format_machine(m)
+
+    def test_format_refuses_unwritable_symbols(self):
+        for symbol in ("", "a b", "d\t1", "a#", "[a", "a]"):
+            with pytest.raises(ValueError, match="cannot be written"):
+                machinefile.format_machine(self.one_symbol_machine(symbol))
+
+    def test_multichar_symbols_round_trip(self):
+        for symbol in ("d10", "1023", "->", "q0"):
+            m = self.one_symbol_machine(symbol)
+            assert machinefile.parse_machine(machinefile.format_machine(m)) == m, symbol

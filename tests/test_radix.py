@@ -101,6 +101,22 @@ class TestRebasedLength:
         for l in range(1, 6):
             assert radix.rebased_length(l, 2 ** (l * l)) == l**3
 
+    def test_bounds_minimal_rebase(self):
+        w = radix.parse_word("b:16|1,0,0")
+        assert radix.format_word(radix.rebase(w, 2)) == "b:2|1"
+        assert radix.rebased_length(3, 16) == 12
+        w = radix.parse_word("b:16|1,0")  # 16 == 2**(2*2): padded to the bound
+        assert len(radix.rebase(w, 2).digits) == radix.rebased_length(2, 16) == 8
+
+    @given(st.integers(1, 12).flatmap(lambda k: st.lists(
+        st.integers(0, 2**k - 1), max_size=4).map(lambda ds: radix.RadixWord(2**k, tuple(ds)))))
+    def test_upper_bound_exact_for_square_exponent_bases(self, w):
+        l = len(w.digits)
+        rebased = len(radix.rebase(w, 2).digits)
+        assert rebased <= radix.rebased_length(l, w.base)
+        if w.base == 2 ** (l * l):
+            assert rebased == radix.rebased_length(l, w.base)
+
 
 class TestIdentityCheck:
     def test_examples(self):
