@@ -30,7 +30,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import IO, Iterable, Sequence
 
 from .radix import RadixWord, format_word, parse_word, rebase
@@ -171,6 +171,16 @@ class ExperimentSpec:
     step_cap: int
 
     def __post_init__(self) -> None:
+        # JSON types first (floats and booleans are not integers), then ranges
+        if not isinstance(self.machine_family, str):
+            raise ValueError(f"machine_family must be a string, got {self.machine_family!r}")
+        for l in self.lengths:
+            _check_integer("every length", l)
+        if not isinstance(self.base_rule, str):
+            _check_integer("base_rule", self.base_rule)
+        _check_integer("words_per_length", self.words_per_length)
+        _check_integer("seed", self.seed)
+        _check_integer("step_cap", self.step_cap)
         if not self.lengths:
             raise ValueError("lengths must be nonempty")
         if any(l < 1 for l in self.lengths):
@@ -193,19 +203,18 @@ class ExperimentSpec:
         return int(self.base_rule)
 
 
-def _integer(field: str, value: object) -> int:
+def _check_integer(field: str, value: object) -> None:
     # bool is an int subclass, but true is no count
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{field} must be an integer, got {value!r}")
-    return value
 
 
 def spec_from_obj(obj: object) -> ExperimentSpec:
-    """Build a spec from a parsed configuration document, checking every
-    field's JSON type (floats and booleans are not integers)."""
+    """Build a spec from a parsed configuration document, an object with
+    exactly the spec's fields; the spec checks the field values itself."""
     if not isinstance(obj, dict):
         raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
-    expected = {"lengths", "base_rule", "words_per_length", "seed", "machine_family", "step_cap"}
+    expected = {f.name for f in fields(ExperimentSpec)}
     missing = expected - obj.keys()
     if missing:
         raise ValueError(f"spec is missing fields: {sorted(missing)}")
@@ -214,28 +223,11 @@ def spec_from_obj(obj: object) -> ExperimentSpec:
         raise ValueError(f"spec has unknown fields: {sorted(extra)}")
     if not isinstance(obj["lengths"], list):
         raise ValueError(f"lengths must be a list, got {obj['lengths']!r}")
-    if not isinstance(obj["machine_family"], str):
-        raise ValueError(f"machine_family must be a string, got {obj['machine_family']!r}")
-    base_rule = obj["base_rule"]
-    return ExperimentSpec(
-        lengths=tuple(_integer("every length", l) for l in obj["lengths"]),
-        base_rule=base_rule if isinstance(base_rule, str) else _integer("base_rule", base_rule),
-        words_per_length=_integer("words_per_length", obj["words_per_length"]),
-        seed=_integer("seed", obj["seed"]),
-        machine_family=obj["machine_family"],
-        step_cap=_integer("step_cap", obj["step_cap"]),
-    )
+    return ExperimentSpec(**dict(obj, lengths=tuple(obj["lengths"])))
 
 
 def spec_to_obj(spec: ExperimentSpec) -> dict:
-    return {
-        "lengths": list(spec.lengths),
-        "base_rule": spec.base_rule,
-        "words_per_length": spec.words_per_length,
-        "seed": spec.seed,
-        "machine_family": spec.machine_family,
-        "step_cap": spec.step_cap,
-    }
+    return dict(asdict(spec), lengths=list(spec.lengths))
 
 
 def load_spec(path: str) -> ExperimentSpec:
@@ -342,13 +334,7 @@ def report_to_obj(report: StepReport) -> dict:
             }
             for r in report.rows
         ],
-        "summary": {
-            "fitted_exponent": report.summary.fitted_exponent,
-            "max_ratio": report.summary.max_ratio,
-            "exponent_at_most_3": report.summary.exponent_at_most_3,
-            "exponent_at_most_6": report.summary.exponent_at_most_6,
-            "note": report.summary.note,
-        },
+        "summary": asdict(report.summary),
     }
 
 
@@ -365,15 +351,7 @@ def report_from_obj(obj: dict) -> StepReport:
         )
         for r in obj["rows"]
     )
-    s = obj["summary"]
-    summary = StepSummary(
-        fitted_exponent=s["fitted_exponent"],
-        max_ratio=s["max_ratio"],
-        exponent_at_most_3=s["exponent_at_most_3"],
-        exponent_at_most_6=s["exponent_at_most_6"],
-        note=s["note"],
-    )
-    return StepReport(rows, summary)
+    return StepReport(rows, StepSummary(**obj["summary"]))
 
 
 def emit_report(report: StepReport, fmt: str, sink: IO[str]) -> None:

@@ -262,16 +262,14 @@ def apply_binary(t: BinaryTable, a: LogicValue, b: LogicValue) -> LogicValue:
     return LogicValue(t.modulus, t.outputs[a.exponent][b.exponent])
 
 
-UNARY_NAMES = ("identity", "negation", "constant-true", "constant-false")
+# Keyed by the truth of f(T), f(F); below, of f(T,T), f(T,F), f(F,T), f(F,F).
+_UNARY_PATTERNS = {
+    (True, False): "identity",
+    (False, True): "negation",
+    (True, True): "constant-true",
+    (False, False): "constant-false",
+}
 
-BINARY_NAMES = (
-    "and", "or", "nand", "nor", "xor", "iff",
-    "implies", "converse-implies", "not-implies", "not-converse-implies",
-    "left-projection", "right-projection", "left-complement", "right-complement",
-    "constant-true", "constant-false",
-)
-
-# Keyed by (f(T,T), f(T,F), f(F,T), f(F,F)).
 _BINARY_PATTERNS = {
     (True, False, False, False): "and",
     (True, True, True, False): "or",
@@ -291,107 +289,79 @@ _BINARY_PATTERNS = {
     (False, False, False, False): "constant-false",
 }
 
+UNARY_NAMES = tuple(_UNARY_PATTERNS.values())
+BINARY_NAMES = tuple(_BINARY_PATTERNS.values())
 
-def _require_boolean(modulus: int) -> None:
-    if modulus != 2:
-        raise ValueError(f"not boolean: classification needs modulus 2, got {modulus}")
+
+def _classify(
+    t: UnaryTable | BinaryTable, arity: int, conv: TruthConvention, patterns: dict
+) -> str:
+    """Name a modulus-2 table by the truth of its cells, arguments taken
+    true before false."""
+    if t.modulus != 2:
+        raise ValueError(f"not boolean: classification needs modulus 2, got {t.modulus}")
+    true_e = conv.true_exponent
+    cells = [t.outputs]
+    for _ in range(arity):
+        cells = [cell[e] for cell in cells for e in (true_e, 1 - true_e)]
+    return patterns[tuple(cell == true_e for cell in cells)]
 
 
 def classify_unary(t: UnaryTable, conv: TruthConvention = TruthConvention()) -> str:
     """Name a modulus-2 unary table as one of the four boolean functions."""
-    _require_boolean(t.modulus)
-    true_e = conv.true_exponent
-    out_on_true = t.outputs[true_e] == true_e
-    out_on_false = t.outputs[1 - true_e] == true_e
-    if out_on_true and not out_on_false:
-        return "identity"
-    if not out_on_true and out_on_false:
-        return "negation"
-    if out_on_true:
-        return "constant-true"
-    return "constant-false"
+    return _classify(t, 1, conv, _UNARY_PATTERNS)
 
 
 def classify_binary(t: BinaryTable, conv: TruthConvention = TruthConvention()) -> str:
     """Name a modulus-2 binary table as one of the sixteen boolean connectives."""
-    _require_boolean(t.modulus)
-    true_e = conv.true_exponent
-    false_e = 1 - true_e
-
-    def truth(a_exp: int, b_exp: int) -> bool:
-        return t.outputs[a_exp][b_exp] == true_e
-
-    pattern = (
-        truth(true_e, true_e),
-        truth(true_e, false_e),
-        truth(false_e, true_e),
-        truth(false_e, false_e),
-    )
-    return _BINARY_PATTERNS[pattern]
+    return _classify(t, 2, conv, _BINARY_PATTERNS)
 
 
 # ---------------------------------------------------------------------------
 # Label catalog
 #
 # The catalog below records, for every arity-2 generated table, the label it
-# is conventionally printed with.  Several entries do not name the function
-# the table actually computes (under either truth convention); label_report
-# makes those disagreements explicit rather than silently correcting them.
+# is conventionally printed with and the connective that label names.
+# Several labels do not name the function the table actually computes (under
+# either truth convention); label_report makes those disagreements explicit
+# rather than silently correcting them.
 # ---------------------------------------------------------------------------
 
-UNARY_CATALOG: dict[tuple[int, ...], str] = {
-    (0, 0): "self projection",
-    (0, 1): "antilogy",
-    (1, 0): "tautology",
-    (1, 1): "complementation",
+UNARY_CATALOG: dict[tuple[int, ...], tuple[str, str]] = {
+    (0, 0): ("self projection", "identity"),
+    (0, 1): ("antilogy", "constant-false"),
+    (1, 0): ("tautology", "constant-true"),
+    (1, 1): ("complementation", "negation"),
 }
 
-BINARY_CATALOG: dict[tuple[int, ...], str] = {
-    (0, 0, 0, 0): "nand",
-    (0, 0, 0, 1): "antilogy",
-    (0, 0, 1, 0): "left complementation",
-    (0, 0, 1, 1): "if ... then",
-    (0, 1, 0, 0): "right projection",
-    (0, 1, 0, 1): "if",
-    (0, 1, 1, 0): "neither ... nor",
-    (0, 1, 1, 1): "if and only if (iff)",
-    (1, 0, 0, 0): "xor",
-    (1, 0, 0, 1): "or",
-    (1, 0, 1, 0): "not ... but",
-    (1, 0, 1, 1): "right projection",
-    (1, 1, 0, 0): "but not",
-    (1, 1, 0, 1): "left projection",
-    (1, 1, 1, 0): "tautology",
-    (1, 1, 1, 1): "and",
+BINARY_CATALOG: dict[tuple[int, ...], tuple[str, str]] = {
+    (0, 0, 0, 0): ("nand", "nand"),
+    (0, 0, 0, 1): ("antilogy", "constant-false"),
+    (0, 0, 1, 0): ("left complementation", "left-complement"),
+    (0, 0, 1, 1): ("if ... then", "implies"),
+    (0, 1, 0, 0): ("right projection", "right-projection"),
+    (0, 1, 0, 1): ("if", "converse-implies"),
+    (0, 1, 1, 0): ("neither ... nor", "nor"),
+    (0, 1, 1, 1): ("if and only if (iff)", "iff"),
+    (1, 0, 0, 0): ("xor", "xor"),
+    (1, 0, 0, 1): ("or", "or"),
+    (1, 0, 1, 0): ("not ... but", "not-converse-implies"),
+    (1, 0, 1, 1): ("right projection", "right-projection"),
+    (1, 1, 0, 0): ("but not", "not-implies"),
+    (1, 1, 0, 1): ("left projection", "left-projection"),
+    (1, 1, 1, 0): ("tautology", "constant-true"),
+    (1, 1, 1, 1): ("and", "and"),
 }
 
-# Catalog vocabulary -> classifier vocabulary, so the two can be compared.
-CATALOG_TO_CONNECTIVE: dict[str, str] = {
-    "self projection": "identity",
-    "complementation": "negation",
-    "antilogy": "constant-false",
-    "tautology": "constant-true",
-    "nand": "nand",
-    "and": "and",
-    "or": "or",
-    "xor": "xor",
-    "neither ... nor": "nor",
-    "if and only if (iff)": "iff",
-    "if ... then": "implies",
-    "if": "converse-implies",
-    "but not": "not-implies",
-    "not ... but": "not-converse-implies",
-    "left projection": "left-projection",
-    "right projection": "right-projection",
-    "left complementation": "left-complement",
-    "right complementation": "right-complement",
-}
+
+def _catalog_entry(kind: str, index: tuple[int, ...]) -> tuple[str, str] | None:
+    return (UNARY_CATALOG if kind == "unary" else BINARY_CATALOG).get(tuple(index))
 
 
 def catalog_label(kind: Literal["unary", "binary"], index: tuple[int, ...]) -> str | None:
     """Catalog label for a flattened arity-2 index, or None if uncataloged."""
-    table = UNARY_CATALOG if kind == "unary" else BINARY_CATALOG
-    return table.get(tuple(index))
+    entry = _catalog_entry(kind, index)
+    return None if entry is None else entry[0]
 
 
 @dataclass(frozen=True)
@@ -410,10 +380,10 @@ def check_label(
 ) -> LabelCheck | None:
     """Compare the catalog label of a flattened arity-2 index with the
     computed connective name; None if the index is uncataloged."""
-    label = catalog_label(kind, index)
-    if label is None:
+    entry = _catalog_entry(kind, index)
+    if entry is None:
         return None
-    connective = CATALOG_TO_CONNECTIVE[label]
+    label, connective = entry
     return LabelCheck(tuple(index), computed, label, connective, connective == computed)
 
 

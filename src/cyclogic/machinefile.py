@@ -14,11 +14,11 @@ ignored)::
     trans q0 [a] -> q1 [a] [R]
     trans q1 [_] -> qR [x] [R]
 
-Symbols are whitespace-separated names of any length (``0`` and ``1023``
-alike) holding no ``#``, ``[`` or ``]``; the blank is spelled ``_``.  Each
-``trans`` line names one target <p; writes; moves> for the key (q; scanned
-symbols); duplicate keys accumulate into a nondeterministic target set in
-file order.  Bracketed lists carry exactly one symbol (or move) per tape.
+Symbols and state names are whitespace-separated names of any length (``0`` and
+``1023`` alike) holding no ``#``, ``[`` or ``]``; the blank is spelled ``_``.
+Each ``trans`` line names one target <p; writes; moves> for the key (q; scanned
+symbols); duplicate keys accumulate into a nondeterministic target set in file
+order.  Bracketed lists carry exactly one symbol (or move) per tape.
 
 Parsing is purely syntactic: a file that, say, writes the blank parses
 fine and is then flagged by ``turing.validate``.
@@ -126,12 +126,14 @@ def parse_machine_file(path: str) -> TuringMachine:
 def format_machine(m: TuringMachine) -> str:
     """Render a machine back into the file grammar.
 
-    Refuses symbols the grammar cannot carry: empty ones and those holding
-    whitespace, ``#``, ``[`` or ``]``.
+    Refuses symbols and state names the grammar cannot carry: empty ones
+    and those holding whitespace, ``#``, ``[`` or ``]``.
     """
-    for s in m.tape_alphabet | m.input_alphabet:
-        if not s or _UNWRITABLE.search(s):
-            raise ValueError(f"symbol {s!r} cannot be written in a machine file")
+    for kind, names in (("symbol", m.tape_alphabet | m.input_alphabet),
+                        ("state", m.states | {m.initial, m.accept, m.reject})):
+        for name in names:
+            if not name or _UNWRITABLE.search(name):
+                raise ValueError(f"{kind} {name!r} cannot be written in a machine file")
     lines = [
         "states " + " ".join(sorted(m.states)),
         f"tapes {m.tapes}",

@@ -22,6 +22,7 @@ their values agree modulo n.
 from __future__ import annotations
 
 import decimal
+import re
 from dataclasses import dataclass
 
 
@@ -148,22 +149,26 @@ def format_word(w: RadixWord) -> str:
     return f"b:{w.base}|{','.join(str(d) for d in w.digits)}"
 
 
+_NUMERAL = "(?:0|[1-9][0-9]*)"  # ASCII decimal, no sign and no leading zero
+_WORD_SPEC = re.compile(rf"b:({_NUMERAL})\|({_NUMERAL}(?:,{_NUMERAL})*)?")
+
+
 def parse_word(text: str) -> RadixWord:
     """Parse the ``b:<base>|<digits>`` text form back into a RadixWord.
 
-    Syntax problems raise WordSpecError; a syntactically fine spec whose
+    Only the form ``format_word`` writes is read; anything else is a syntax
+    problem and raises WordSpecError.  A syntactically fine spec whose
     digits violate the base raises plain ValueError from the constructor.
     """
-    head, sep, body = text.partition("|")
+    head, sep, _ = text.partition("|")
     if not sep or not head.startswith("b:"):
         raise WordSpecError(f"malformed word spec {text!r}; expected b:<base>|<digits>")
-    try:
-        base = int(head[2:])
-        # An empty body is the empty word; an empty field is malformed.
-        digits = tuple(int(part) for part in body.split(",")) if body else ()
-    except ValueError:
-        raise WordSpecError(f"malformed word spec {text!r}") from None
-    return RadixWord(base, digits)
+    match = _WORD_SPEC.fullmatch(text)
+    if not match:
+        raise WordSpecError(f"malformed word spec {text!r}")
+    base, body = match.groups()
+    # An empty body is the empty word; an empty field is malformed.
+    return RadixWord(int(base), tuple(map(int, body.split(","))) if body else ())
 
 
 #: Integers up to this many bits go through ``str`` directly; each is far

@@ -283,6 +283,14 @@ def _write(tapes: list[list[str]], heads: Sequence[int], writes: Sequence[str]) 
             tape[i - 1] = s
 
 
+def _check_bound(what: str, bound: int, least: int) -> None:
+    # a float bound would stop the count between steps, and True is no count
+    if isinstance(bound, bool) or not isinstance(bound, int):
+        raise ValueError(f"{what} bound must be an integer, got {bound!r}")
+    if bound < least:
+        raise ValueError(f"{what} bound must be >= {least}, got {bound}")
+
+
 def run_deterministic(
     m: TuringMachine, w: Word, max_steps: int, want_trace: bool = False
 ) -> RunOutcome:
@@ -291,8 +299,7 @@ def run_deterministic(
     Verdicts: accepted/rejected on reaching a final state, dead-end when no
     transition applies, bound-exceeded after max_steps steps.
     """
-    if max_steps < 0:
-        raise ValueError(f"step bound must be >= 0, got {max_steps}")
+    _check_bound("step", max_steps, 0)
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
     start = initial_id(m, w)
@@ -349,8 +356,7 @@ def accepts_within_space(
 ) -> RunOutcome:
     """As accepts_within, but every configuration on the path (initial and
     accepting ones included) must keep all heads at positions <= s."""
-    if s < 1:
-        raise ValueError(f"space bound must be >= 1, got {s}")
+    _check_bound("space", s, 1)
     return _bounded_search(m, w, t, space=s, want_trace=want_trace)
 
 
@@ -368,8 +374,7 @@ def _bounded_search(
     space: int | None,
     want_trace: bool,
 ) -> RunOutcome:
-    if t < 0:
-        raise ValueError(f"step bound must be >= 0, got {t}")
+    _check_bound("step", t, 0)
     start = initial_id(m, w)
     max_head = max(start.heads)
     if space is not None and max_head > space:

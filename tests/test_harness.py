@@ -171,6 +171,30 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             harness.ExperimentSpec(**self.good(**overrides))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"lengths": (1, 2.0)}, "every length must be an integer, got 2.0"),
+            ({"lengths": (True,)}, "every length must be an integer, got True"),
+            ({"base_rule": 2.5}, "base_rule must be an integer, got 2.5"),
+            ({"base_rule": True}, "base_rule must be an integer, got True"),
+            ({"words_per_length": True}, "words_per_length must be an integer, got True"),
+            ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"step_cap": 2.5}, "step_cap must be an integer, got 2.5"),
+            ({"step_cap": "9"}, "step_cap must be an integer, got '9'"),
+            ({"machine_family": 7}, "machine_family must be a string, got 7"),
+        ],
+    )
+    def test_field_types_checked_by_the_spec(self, overrides, message):
+        # a library caller gets the refusal a spec document gets
+        fields = self.good(**overrides)
+        with pytest.raises(ValueError) as direct:
+            harness.ExperimentSpec(**fields)
+        assert str(direct.value) == message
+        with pytest.raises(ValueError) as parsed:
+            harness.spec_from_obj(dict(fields, lengths=list(fields["lengths"])))
+        assert str(parsed.value) == message
+
     def test_obj_round_trip(self):
         spec = harness.ExperimentSpec(**self.good())
         assert harness.spec_from_obj(harness.spec_to_obj(spec)) == spec

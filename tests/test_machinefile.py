@@ -97,6 +97,21 @@ class TestGrammarErrors:
             with pytest.raises(ValueError, match="cannot be written"):
                 machinefile.format_machine(self.one_symbol_machine(symbol))
 
+    def test_format_refuses_unwritable_state_names(self):
+        for state in ("q 0", "q#0", "q[0", "q]0", ""):
+            m = turing.make_machine(
+                states=[state, "qA", "qR"],
+                tape_alphabet=["a", "_"],
+                blank="_",
+                input_alphabet=["a"],
+                transitions={(state, ("a",)): (turing.Transition("qA", ("a",), ("R",)),)},
+                initial=state,
+                accept="qA",
+                reject="qR",
+            )
+            with pytest.raises(ValueError, match="state .* cannot be written"):
+                machinefile.format_machine(m)
+
     def test_multichar_symbols_round_trip(self):
         for symbol in ("d10", "1023", "->", "q0"):
             m = self.one_symbol_machine(symbol)

@@ -184,9 +184,20 @@ class TestTextForm:
 
     def test_malformed(self):
         for bad in ("16|3,10", "b:16;3", "b:x|1", "b:16|3,y",
-                    "b:10|1,,2", "b:10|1,", "b:10|,1", "b:10|,"):
+                    "b:10|1,,2", "b:10|1,", "b:10|,1", "b:10|,",
+                    # forms int() reads but format_word never writes
+                    "b:10|+1", "b:10| 1", "b:10|01", "b:10|-0", "b:+16|3",
+                    "b:1_0|3", "b:10|\u0663", "b:10|1_0", "b:010|1", "b:10|1\n"):
             with pytest.raises(radix.WordSpecError):
                 radix.parse_word(bad)
+
+    @given(st.text(alphabet="0123456789b:|,+-_ "))
+    def test_only_the_written_form_parses(self, text):
+        try:
+            word = radix.parse_word(text)
+        except ValueError:
+            return
+        assert radix.format_word(word) == text
 
     def test_out_of_range_digit_is_a_domain_error(self):
         with pytest.raises(ValueError) as exc_info:

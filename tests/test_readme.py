@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from cyclogic import cli
+from cyclogic import cli, fixtures
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -57,3 +57,10 @@ def test_command_line_example(argv, expected, capsys, monkeypatch, tmp_path):
 def test_library_example(capsys):
     exec(compile(fenced_block("Library example", "python"), "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("accepted 2\n")
+
+
+@pytest.mark.parametrize("name, text", [("even_a.tm", fixtures.EVEN_A_FILE),
+                                        ("guess_bit.tm", fixtures.GUESS_BIT_FILE)])
+def test_machine_files_are_the_fixtures(name, text):
+    # the files the examples run are the texts the parser tests check
+    assert (ROOT / "demos" / "machines" / name).read_text(encoding="utf-8") == text

@@ -222,6 +222,22 @@ class TestDeterministicRun:
         with pytest.raises(ValueError, match=r"step bound must be >= 0, got -1"):
             turing.run_deterministic(fixtures.even_a_machine(), "aa", -1)
 
+    @pytest.mark.parametrize("bound", [4.5, 4.0, True])
+    @pytest.mark.parametrize(
+        "search",
+        [
+            lambda m, bound: turing.run_deterministic(m, "aaaa", bound),
+            lambda m, bound: turing.accepts_within(m, "aaaa", bound),
+            lambda m, bound: turing.accepts_within_space(m, "aaaa", bound, 10),
+            lambda m, bound: turing.accepts_within_space(m, "aaaa", 10, bound),
+            lambda m, bound: turing.check_time_bound(m, ["aaaa"], lambda n: bound),
+        ],
+        ids=["run", "accepts", "space-steps", "space-cells", "time-bound"],
+    )
+    def test_non_integer_bound_rejected(self, search, bound):
+        with pytest.raises(ValueError, match=r"bound must be an integer"):
+            search(fixtures.even_a_machine(), bound)
+
     def test_trace_records_the_whole_run(self):
         m = fixtures.even_a_machine()
         out = turing.run_deterministic(m, "aa", 100, want_trace=True)
