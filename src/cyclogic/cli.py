@@ -148,19 +148,13 @@ def _build_table(args) -> tuple:
     return idx, logic.binary_from_index(idx)
 
 
-def _flat_index(idx) -> tuple[int, ...]:
-    if isinstance(idx, logic.UnaryIndex):
-        return idx.indices
-    return tuple(v for row in idx.matrix for v in row)
-
-
 def _classification(args, idx, table) -> dict:
     """The classification fields that ``table`` (at n=2) and ``classify``
     print: the computed connective, the catalog label and whether the two
     agree.  Off arity 2 the classifier raises "not boolean" (exit 1)."""
     classify = logic.classify_unary if args.kind == "unary" else logic.classify_binary
     computed = classify(table, logic.TruthConvention(args.true_exponent))
-    check = logic.check_label(args.kind, _flat_index(idx), computed)
+    check = logic.check_label(args.kind, idx.flat, computed)
     return {
         "classification": computed,
         "catalog_label": None if check is None else check.catalog,
@@ -246,7 +240,7 @@ def _enumeration_line(idx, table) -> str:
     outs = table.outputs
     if isinstance(table, logic.BinaryTable):
         outs = tuple(e for row in outs for e in row)
-    return f"{','.join(map(str, _flat_index(idx)))}\t{','.join(map(str, outs))}"
+    return f"{','.join(map(str, idx.flat))}\t{','.join(map(str, outs))}"
 
 
 def cmd_tm(args) -> int:

@@ -174,6 +174,8 @@ class ExperimentSpec:
         # JSON types first (floats and booleans are not integers), then ranges
         if not isinstance(self.machine_family, str):
             raise ValueError(f"machine_family must be a string, got {self.machine_family!r}")
+        if not isinstance(self.lengths, tuple):  # a list is unhashable
+            raise ValueError(f"lengths must be a tuple, got {self.lengths!r}")
         for l in self.lengths:
             _check_integer("every length", l)
         if not isinstance(self.base_rule, str):

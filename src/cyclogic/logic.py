@@ -127,6 +127,11 @@ class UnaryIndex:
         _check_arity(self.modulus)
         _check_row(self.modulus, self.indices, "index vector", "index entry")
 
+    @property
+    def flat(self) -> tuple[int, ...]:
+        """The index entries in the order the catalog keys use."""
+        return self.indices
+
 
 @dataclass(frozen=True)
 class BinaryIndex:
@@ -138,6 +143,11 @@ class BinaryIndex:
     def __post_init__(self) -> None:
         _check_arity(self.modulus)
         _check_grid(self.modulus, self.matrix, "index matrix", "index entry")
+
+    @property
+    def flat(self) -> tuple[int, ...]:
+        """The index entries row by row, the order the catalog keys use."""
+        return tuple(v for row in self.matrix for v in row)
 
 
 @dataclass(frozen=True)
@@ -394,10 +404,7 @@ def label_report(
     """Compare every arity-2 catalog label with the computed connective name."""
     _family_cells(kind, 2, allow_large=False)  # refuses an unknown kind
     if kind == "unary":
-        computed = [(idx.indices, classify_unary(t, conv)) for idx, t in enumerate_unary(2)]
+        family, classify = enumerate_unary(2), classify_unary
     else:
-        computed = [
-            (idx.matrix[0] + idx.matrix[1], classify_binary(t, conv))
-            for idx, t in enumerate_binary(2)
-        ]
-    return tuple(check_label(kind, flat, name) for flat, name in computed)
+        family, classify = enumerate_binary(2), classify_binary
+    return tuple(check_label(kind, idx.flat, classify(t, conv)) for idx, t in family)

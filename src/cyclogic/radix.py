@@ -8,9 +8,11 @@ combines neighbouring digits under repeatedly squared powers of the base,
 so it keeps no table of powers and multiplies numbers of balanced size.
 
 ``rebase`` changes the digit base while preserving the value exactly.
-One combination gets a normative padding rule: a length-l word in base
-b = 2**(l*l) rebases to binary as exactly l**3 digits, making the cubic
-length law a testable equality instead of an asymptotic claim.
+Targets 2, 2**k and 10 read the digits off the value's binary or decimal
+text; any other target keeps a ``divmod`` loop, quadratic in the output
+length.  One combination gets a normative padding rule: a length-l word
+in base b = 2**(l*l) rebases to binary as exactly l**3 digits, making the
+cubic length law a testable equality instead of an asymptotic claim.
 
 ``symbol_shift`` rotates a single digit by k modulo the base — the digit
 sequence is exactly a word over logic values of arity b, and the shift is
@@ -84,6 +86,8 @@ def rebase(w: RadixWord, new_base: int) -> RadixWord:
     base 2**(l*l) rebases to binary as exactly l**3 digits (zero-padded).
     Every other case yields the minimal digit count: value 0 keeps one
     digit when the input was nonempty, and the empty word stays empty.
+    Targets 2 and 2**k take time linear in the output length, target 10
+    subquadratic, and any other target quadratic.
     """
     if new_base < 2:
         raise ValueError(f"bad base: must be >= 2, got {new_base}")
@@ -99,13 +103,30 @@ def rebase(w: RadixWord, new_base: int) -> RadixWord:
 
 
 def _digits_of(value: int, base: int, pad_to: int = 1) -> tuple[int, ...]:
-    digits = []
-    while value:
-        value, d = divmod(value, base)
-        digits.append(d)
-    while len(digits) < pad_to:
-        digits.append(0)
-    return tuple(digits)
+    """Base-``base`` digits of ``value`` >= 0, least significant first,
+    zero-padded to ``pad_to`` >= 0 digits (value 0 gives ``pad_to`` zeros).
+
+    Bases 2**k read k-bit slices of ``bin``, in time linear in the output
+    length, base 10 reads ``decimal_text`` (subquadratic), and any other
+    base takes one ``divmod`` per digit, quadratic in the output length.
+    """
+    if not value:
+        return (0,) * pad_to
+    if base in (2, 10):
+        text = bin(value)[2:] if base == 2 else decimal_text(value)
+        ascii_to_digit = bytes.maketrans(b"0123456789", bytes(range(10)))
+        digits = tuple(text[::-1].encode("ascii").translate(ascii_to_digit))
+    elif _is_power_of_two(base):
+        k = base.bit_length() - 1
+        bits = format(value, f"0{-(-value.bit_length() // k) * k}b")
+        digits = tuple([int(bits[i - k : i], 2) for i in range(len(bits), 0, -k)])
+    else:
+        found = []
+        while value:
+            value, d = divmod(value, base)
+            found.append(d)
+        digits = tuple(found)
+    return digits + (0,) * (pad_to - len(digits))
 
 
 def rebased_length(l: int, b: int) -> int:

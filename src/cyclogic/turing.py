@@ -283,12 +283,12 @@ def _write(tapes: list[list[str]], heads: Sequence[int], writes: Sequence[str]) 
             tape[i - 1] = s
 
 
-def _check_bound(what: str, bound: int, least: int) -> None:
+def _check_bound(what: str, bound: int, least: int, where: str = "") -> None:
     # a float bound would stop the count between steps, and True is no count
     if isinstance(bound, bool) or not isinstance(bound, int):
         raise ValueError(f"{what} bound must be an integer, got {bound!r}")
     if bound < least:
-        raise ValueError(f"{what} bound must be >= {least}, got {bound}")
+        raise ValueError(f"{what} bound must be >= {least}, got {bound}{where}")
 
 
 def run_deterministic(
@@ -529,8 +529,7 @@ def check_time_bound(
     for w in words:
         word = tuple(w)
         limit = bound(len(word))
-        if limit < 0:
-            raise ValueError(f"time bound must be >= 0, got {limit} for length {len(word)}")
+        _check_bound("time", limit, 0, f" for length {len(word)}")
         outcome = accepts_within(m, word, limit, want_trace=False)
         rows.append(
             TimeBoundRow(word, len(word), limit, outcome.verdict == VERDICT_ACCEPTED)

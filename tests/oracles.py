@@ -6,6 +6,8 @@ and the value oracle uses Horner evaluation instead of the library's
 pairwise combination under squared powers.
 ``reference_search`` is the engine's former breadth-first search: it keeps
 every visited configuration whole and steps with ``turing.successors``.
+``reference_digits`` is the library's former rebasing loop: one ``divmod``
+per digit.
 """
 
 from __future__ import annotations
@@ -43,6 +45,18 @@ def naive_binary_digits(value, length=None):
         while len(bits) < length:
             bits.append(0)
     return tuple(bits)
+
+
+def reference_digits(value, base, pad_to=1):
+    """Base-``base`` digits of ``value``, least significant first, by one
+    ``divmod`` per digit, zero-padded to ``pad_to`` digits."""
+    digits = []
+    while value:
+        value, d = divmod(value, base)
+        digits.append(d)
+    while len(digits) < pad_to:
+        digits.append(0)
+    return tuple(digits)
 
 
 def _apply_choice(m: TuringMachine, desc, tr):

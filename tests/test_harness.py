@@ -195,6 +195,14 @@ class TestExperimentSpec:
             harness.spec_from_obj(dict(fields, lengths=list(fields["lengths"])))
         assert str(parsed.value) == message
 
+    @pytest.mark.parametrize("lengths", [5, [1, 2], "12", None, range(1, 3)])
+    def test_lengths_container_checked_by_the_spec(self, lengths):
+        # a list would build a frozen spec that cannot be hashed
+        with pytest.raises(ValueError) as direct:
+            harness.ExperimentSpec(**self.good(lengths=lengths))
+        assert str(direct.value) == f"lengths must be a tuple, got {lengths!r}"
+        hash(harness.ExperimentSpec(**self.good(lengths=(1, 2))))
+
     def test_obj_round_trip(self):
         spec = harness.ExperimentSpec(**self.good())
         assert harness.spec_from_obj(harness.spec_to_obj(spec)) == spec

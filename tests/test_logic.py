@@ -313,9 +313,11 @@ class TestClassification:
 class TestCatalog:
     def test_every_arity2_index_is_cataloged(self):
         for idx, _ in logic.enumerate_unary(2):
+            assert idx.flat == idx.indices
             assert logic.catalog_label("unary", idx.indices) is not None
         for idx, _ in logic.enumerate_binary(2):
             flat = idx.matrix[0] + idx.matrix[1]
+            assert idx.flat == flat  # the key order of the catalog
             assert logic.catalog_label("binary", flat) is not None
 
     def test_unary_report(self):

@@ -1,10 +1,12 @@
 """Radix words: values, rebasing, the cubic padding law, digit shifts."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cyclogic import radix
-from oracles import decimal_value, naive_binary_digits, naive_value
+from oracles import decimal_value, naive_binary_digits, naive_value, reference_digits
 
 
 def words(max_base=2**12, max_len=8):
@@ -62,14 +64,14 @@ class TestRebase:
         assert radix.rebase(radix.RadixWord(5, (0, 0)), 3).digits == (0,)
         assert radix.rebase(radix.RadixWord(5, ()), 3).digits == ()
 
-    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5, 6])
     def test_cubic_length_law(self, l):
-        import random
-
         rng = random.Random(1234 + l)
         b = 2 ** (l * l)
-        for _ in range(50):
-            w = radix.RadixWord(b, tuple(rng.randrange(b) for _ in range(l)))
+        extremes = [(0,) * l, (b - 1,) * l, (0,) * (l - 1) + (1,), (1,) + (0,) * (l - 1)]
+        randoms = [tuple(rng.randrange(b) for _ in range(l)) for _ in range(50)]
+        for digits in extremes + randoms:
+            w = radix.RadixWord(b, digits)
             r = radix.rebase(w, 2)
             assert len(r.digits) == l**3
             assert radix.word_value(r) == radix.word_value(w)
@@ -84,6 +86,38 @@ class TestRebase:
     def test_binary_round_trip(self, w):
         back = radix.rebase(radix.rebase(w, 2), w.base)
         assert radix.word_value(back) == radix.word_value(w)
+
+
+#: bases 2 and 10, powers of two below, at and past one machine word, and
+#: bases that are neither (the divmod loop)
+DIGIT_BASES = [2, 4, 8, 16, 2**9, 2**16, 2**63, 2**64, 2**65, 10, 3, 7, 1000, 2**64 + 1]
+
+
+class TestDigitsOf:
+    @given(
+        st.sampled_from(DIGIT_BASES),
+        st.integers(0, 5000).flatmap(lambda bits: st.integers(0, 2**bits - 1)),
+        st.integers(0, 3000),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_divmod_oracle(self, base, value, pad_to):
+        assert radix._digits_of(value, base, pad_to) == reference_digits(value, base, pad_to)
+
+    def test_power_of_two_and_decimal_targets_never_divide(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("divmod loop reached")
+
+        monkeypatch.setattr(radix, "divmod", refuse, raising=False)
+        rng = random.Random(99)
+        for l in (1, 40, 300):
+            w = radix.RadixWord(2**64, tuple(rng.randrange(2**64) for _ in range(l)))
+            for new_base in (2, 16, 10):
+                back = radix.rebase(radix.rebase(w, new_base), 2**64)
+                assert radix.word_value(back) == radix.word_value(w)
+        square = radix.RadixWord(2**36, (0,) * 6)
+        assert radix.rebase(square, 2).digits == (0,) * 216
+        with pytest.raises(AssertionError, match="divmod loop reached"):
+            radix.rebase(radix.RadixWord(2**64, (5,)), 3)
 
 
 class TestRebasedLength:

@@ -222,7 +222,7 @@ class TestDeterministicRun:
         with pytest.raises(ValueError, match=r"step bound must be >= 0, got -1"):
             turing.run_deterministic(fixtures.even_a_machine(), "aa", -1)
 
-    @pytest.mark.parametrize("bound", [4.5, 4.0, True])
+    @pytest.mark.parametrize("bound", [4.5, 4.0, True, "4"])
     @pytest.mark.parametrize(
         "search",
         [
@@ -237,6 +237,18 @@ class TestDeterministicRun:
     def test_non_integer_bound_rejected(self, search, bound):
         with pytest.raises(ValueError, match=r"bound must be an integer"):
             search(fixtures.even_a_machine(), bound)
+
+    @pytest.mark.parametrize(
+        "bound, message",
+        [
+            ("4", "time bound must be an integer, got '4'"),
+            (-1, "time bound must be >= 0, got -1 for length 4"),
+        ],
+    )
+    def test_time_bound_checked_before_comparing(self, bound, message):
+        with pytest.raises(ValueError) as refused:
+            turing.check_time_bound(fixtures.even_a_machine(), ["aaaa"], lambda n: bound)
+        assert str(refused.value) == message
 
     def test_trace_records_the_whole_run(self):
         m = fixtures.even_a_machine()
