@@ -59,16 +59,32 @@ def table_to_obj(
 
 def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
                                        logic.UnaryTable | logic.BinaryTable]:
+    """Parse a ``table_to_obj`` document.  Any other raises ValueError: an unknown kind, a
+    non-integer exponent, lists nested to the wrong depth, outputs not of the index."""
+    depth = {"unary": 1, "binary": 2}.get(obj["kind"])
+    if depth is None:
+        raise ValueError(f"table kind must be 'unary' or 'binary', got {obj['kind']!r}")
+    for value, d in ((obj["modulus"], 0), (obj["index"], depth), (obj["outputs"], depth)):
+        _check_exponents(value, d)
     n = obj["modulus"]
-    if obj["kind"] == "unary":
-        return (
-            logic.UnaryIndex(n, tuple(obj["index"])),
-            logic.UnaryTable(n, tuple(obj["outputs"])),
-        )
-    return (
-        logic.BinaryIndex(n, tuple(map(tuple, obj["index"]))),
-        logic.BinaryTable(n, tuple(map(tuple, obj["outputs"]))),
-    )
+    if depth == 1:
+        idx = logic.UnaryIndex(n, tuple(obj["index"]))
+        table = logic.unary_from_index(idx)
+    else:
+        idx = logic.BinaryIndex(n, tuple(map(tuple, obj["index"])))
+        table = logic.binary_from_index(idx)
+    if table_to_obj(idx, table)["outputs"] != obj["outputs"]:
+        raise ValueError(f"outputs {obj['outputs']} are not the table of index {obj['index']}")
+    return idx, table
+
+
+def _check_exponents(value: object, depth: int) -> None:
+    """Refuse all but lists nested ``depth`` deep around integers (not floats or booleans)."""
+    if depth and isinstance(value, list):
+        for item in value:
+            _check_exponents(item, depth - 1)
+    elif depth or isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"expected {'a list' if depth else 'an integer'}, got {value!r}")
 
 
 def id_to_obj(desc: InstantaneousDescription) -> dict:
@@ -244,9 +260,12 @@ def _enumeration_line(idx, table) -> str:
 
 
 def cmd_tm(args) -> int:
+    if (args.space is None) == (args.mode == "accept-space"):
+        raise UsageError("mode accept-space needs --space" if args.space is None
+                         else f"--space needs mode accept-space, not {args.mode}")
     try:
         machine = parse_machine_file(args.machine)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read machine file: {exc}")
     except MachineFileError as exc:
         raise UsageError(str(exc))
@@ -266,11 +285,7 @@ def cmd_tm(args) -> int:
     elif args.mode == "accept":
         outcome = accepts_within(machine, word, args.steps, want_trace=args.trace)
     else:  # accept-space
-        if args.space is None:
-            raise UsageError("mode accept-space needs --space")
-        outcome = accepts_within_space(
-            machine, word, args.steps, args.space, want_trace=args.trace
-        )
+        outcome = accepts_within_space(machine, word, args.steps, args.space, want_trace=args.trace)
     if args.json:
         print(json.dumps(outcome_to_obj(outcome)))
         return 0
@@ -394,7 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "symbols if the machine has a multi-character input symbol")
     p_tm.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
     p_tm.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
-    p_tm.add_argument("-s", "--space", type=int, default=None, help="head-position bound")
+    p_tm.add_argument("-s", "--space", type=int, default=None,
+                      help="head-position bound; needed by, and only allowed in, mode accept-space")
     p_tm.add_argument("--trace", action="store_true", help="print the witness path")
     p_tm.add_argument("--json", action="store_true")
     p_tm.set_defaults(func=cmd_tm)

@@ -1,13 +1,13 @@
 """Small machines used throughout the tests, demos, and docs.
 
-Each builder returns a fresh TuringMachine; the *_FILE constants carry the
-same machines in the text grammar so the command-line surface can be
-exercised against known behavior.
+Each builder returns a fresh TuringMachine: a one-pass ``turing.scanner``,
+except the 2-tape copy machine.  The *_FILE constants carry machines in the
+text grammar so the command-line surface can be exercised against known behavior.
 """
 
 from __future__ import annotations
 
-from .turing import Transition, TuringMachine, make_machine
+from .turing import Transition, TuringMachine, make_machine, scanner
 
 
 def even_a_machine() -> TuringMachine:
@@ -17,21 +17,8 @@ def even_a_machine() -> TuringMachine:
     one extra step on the blank to land in accept or reject: a length-l
     word is decided in exactly l + 1 steps.
     """
-    return make_machine(
-        states=["q0", "q1", "qA", "qR"],
-        tape_alphabet=["a", "x", "_"],
-        blank="_",
-        input_alphabet=["a"],
-        transitions={
-            ("q0", ("a",)): (Transition("q1", ("a",), ("R",)),),
-            ("q1", ("a",)): (Transition("q0", ("a",), ("R",)),),
-            ("q0", ("_",)): (Transition("qA", ("x",), ("R",)),),
-            ("q1", ("_",)): (Transition("qR", ("x",), ("R",)),),
-        },
-        initial="q0",
-        accept="qA",
-        reject="qR",
-    )
+    steps = {"q0": {"a": ("q1",)}, "q1": {"a": ("q0",)}}
+    return scanner("q0", "a", steps, {"q0": "qA", "q1": "qR"})
 
 
 def guess_bit_machine() -> TuringMachine:
@@ -41,45 +28,19 @@ def guess_bit_machine() -> TuringMachine:
     dies at the end of the tape, the other reaches the accept state in
     two steps.  The minimal witness therefore has length exactly 2.
     """
-    return make_machine(
-        states=["q0", "q2", "qA", "qR"],
-        tape_alphabet=["0", "x", "_"],
-        blank="_",
-        input_alphabet=["0"],
-        transitions={
-            ("q0", ("0",)): (
-                Transition("q0", ("0",), ("R",)),
-                Transition("q2", ("0",), ("R",)),
-            ),
-            ("q2", ("_",)): (Transition("qA", ("x",), ("R",)),),
-        },
-        initial="q0",
-        accept="qA",
-        reject="qR",
-    )
+    return scanner("q0", "0", {"q0": {"0": ("q0", "q2")}}, {"q2": "qA"})
 
 
 def walk_right_machine(distance: int = 3) -> TuringMachine:
     """Walks right over 'a's for ``distance`` steps, then accepts.
 
     The accepting configuration has its head at square distance + 1, so
-    the run fits in space s iff s >= distance + 1.
+    the run fits in space s iff s >= distance + 1.  Needs distance >= 1.
     """
-    states = [f"w{i}" for i in range(distance)] + ["qA", "qR"]
-    transitions = {}
-    for i in range(distance):
-        target = "qA" if i == distance - 1 else f"w{i + 1}"
-        transitions[(f"w{i}", ("a",))] = (Transition(target, ("a",), ("R",)),)
-    return make_machine(
-        states=states,
-        tape_alphabet=["a", "_"],
-        blank="_",
-        input_alphabet=["a"],
-        transitions=transitions,
-        initial="w0",
-        accept="qA",
-        reject="qR",
-    )
+    if distance < 1:
+        raise ValueError(f"distance must be >= 1, got {distance}")
+    steps = {f"w{i}": {"a": (f"w{i + 1}" if i + 1 < distance else "qA",)} for i in range(distance)}
+    return scanner("w0", "a", steps, {})
 
 
 def accept_at_start_machine() -> TuringMachine:
@@ -87,34 +48,12 @@ def accept_at_start_machine() -> TuringMachine:
     in zero steps, never moving a head (every move from square 1 either
     falls off the left end or leaves square 1, so this is the only way to
     accept within space 1)."""
-    return make_machine(
-        states=["qA", "qR"],
-        tape_alphabet=["a", "_"],
-        blank="_",
-        input_alphabet=["a"],
-        transitions={},
-        initial="qA",
-        accept="qA",
-        reject="qR",
-    )
+    return scanner("qA", "a", {}, {})
 
 
 def real_time_scanner() -> TuringMachine:
     """Accepts every word over {a, b}, in exactly len(word) + 1 steps."""
-    return make_machine(
-        states=["s", "qA", "qR"],
-        tape_alphabet=["a", "b", "x", "_"],
-        blank="_",
-        input_alphabet=["a", "b"],
-        transitions={
-            ("s", ("a",)): (Transition("s", ("a",), ("R",)),),
-            ("s", ("b",)): (Transition("s", ("b",), ("R",)),),
-            ("s", ("_",)): (Transition("qA", ("x",), ("R",)),),
-        },
-        initial="s",
-        accept="qA",
-        reject="qR",
-    )
+    return scanner("s", "ab", {"s": {"a": ("s",), "b": ("s",)}}, {"s": "qA"})
 
 
 def copy_machine() -> TuringMachine:

@@ -7,8 +7,8 @@ minimal accepting step counts found by bounded breadth-first search.
 A least-squares fit of log(steps_binary) against log(steps_wide) gives a
 descriptive growth exponent for the slowdown.
 
-Built-in machine families (each pair accepts a word iff its twin accepts
-the rebased word):
+Built-in machine families, all built by ``turing.scanner`` (each pair
+accepts a word iff its twin accepts the rebased word):
 
 * ``scan-accept``      — the wide machine accepts exactly the words of
   length l; its twin accepts every binary word it is fed.
@@ -35,11 +35,11 @@ from typing import IO, Iterable, Sequence
 
 from .radix import RadixWord, format_word, parse_word, rebase
 from .turing import (
-    Transition,
     TuringMachine,
     VERDICT_ACCEPTED,
     VERDICT_BOUND_EXCEEDED,
     accepts_within,
+    scanner,
 )
 
 #: Emitted verbatim in every summary.
@@ -55,9 +55,6 @@ FAMILIES = ("scan-accept", "digit-sum-parity", "guessed-digit")
 #: Wide alphabets larger than this are refused.
 DEFAULT_SYMBOL_CAP = 2**10
 
-_BLANK = "_"
-_MARK = "x"
-
 
 class UnknownFamily(ValueError):
     """The requested machine family is not one of the built-ins."""
@@ -67,49 +64,19 @@ class AlphabetTooLarge(ValueError):
     """The wide alphabet would exceed the symbol cap."""
 
 
-def _scanner(initial: str, symbols: Sequence[str], steps: dict, verdicts: dict) -> TuringMachine:
-    """A one-pass scanner over ``symbols``: each step rewrites the scanned
-    symbol unchanged and moves right.
-
-    ``steps[p][s]`` lists, in order, the states entered from p on s;
-    ``verdicts[p]`` is the final state p enters on the blank, writing the
-    mark.  Every state a step enters has steps or a verdict or is final, so
-    the states are ``initial``, qA, qR and those named here; the tape
-    alphabet is the symbols, the blank, and the mark if there are verdicts.
-    """
-    transitions = {}
-    for p, row in steps.items():
-        for s, targets in row.items():
-            scanned = (s,)
-            transitions[(p, scanned)] = tuple([Transition(q, scanned, ("R",)) for q in targets])
-    for p, final in verdicts.items():
-        transitions[(p, (_BLANK,))] = (Transition(final, (_MARK,), ("R",)),)
-    # every target set is a tuple already, so make_machine's copy of the table is not needed
-    return TuringMachine(
-        states=frozenset((initial, "qA", "qR", *steps, *verdicts, *verdicts.values())),
-        tape_alphabet=frozenset((*symbols, _BLANK, *((_MARK,) if verdicts else ()))),
-        blank=_BLANK,
-        input_alphabet=frozenset(symbols),
-        transitions=transitions,
-        initial=initial,
-        accept="qA",
-        reject="qR",
-    )
-
-
 def _scan_accept_wide(l: int, digits: Sequence[str]) -> TuringMachine:
     steps = {f"w{i}": dict.fromkeys(digits, (f"w{i + 1}",)) for i in range(l)}
-    return _scanner("w0", digits, steps, {f"w{l}": "qA"})
+    return scanner("w0", digits, steps, {f"w{l}": "qA"})
 
 
 def _accept_everything_binary() -> TuringMachine:
-    return _scanner("s", "01", {"s": dict.fromkeys("01", ("s",))}, {"s": "qA"})
+    return scanner("s", "01", {"s": dict.fromkeys("01", ("s",))}, {"s": "qA"})
 
 
 def _parity_wide(digits: Sequence[str]) -> TuringMachine:
     nexts = (("p0",), ("p1",))
     steps = {f"p{p}": {s: nexts[(p + d) % 2] for d, s in enumerate(digits)} for p in (0, 1)}
-    return _scanner("p0", digits, steps, {"p0": "qA", "p1": "qR"})
+    return scanner("p0", digits, steps, {"p0": "qA", "p1": "qR"})
 
 
 def _parity_binary(b: int) -> TuringMachine:
@@ -124,13 +91,13 @@ def _parity_binary(b: int) -> TuringMachine:
                 bit: (f"t{(j + 1) % m}p{p ^ (j == 0 and bit == '1')}",) for bit in "01"
             }
             verdicts[state] = "qR" if p else "qA"
-    return _scanner("t0p0", "01", steps, verdicts)
+    return scanner("t0p0", "01", steps, verdicts)
 
 
 def _guessed_digit(digits: Sequence[str]) -> TuringMachine:
     row = dict.fromkeys(digits, ("g", "qA"))
     row["0"] = ("g",)
-    return _scanner("g", digits, {"g": row}, {})
+    return scanner("g", digits, {"g": row}, {})
 
 
 def build_machine_pair(family: str, l: int, b: int) -> tuple[TuringMachine, TuringMachine]:

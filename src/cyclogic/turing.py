@@ -5,6 +5,8 @@ transition table, initial, accept, reject) over m one-way-infinite tapes.
 A configuration (instantaneous description) is <q; tape words; head
 positions>: the state, the visited non-blank portion of each tape, and
 1-based head positions with 1 <= i <= len(word) + 1.
+``make_machine`` builds any machine; ``scanner`` builds a 1-tape one-pass
+scanner from a step table, deriving its states and alphabets.
 
 One step applies a transition chosen from delta(state, scanned symbols):
 
@@ -103,6 +105,41 @@ def make_machine(
         accept=accept,
         reject=reject,
         tapes=tapes,
+    )
+
+
+_BLANK = "_"
+_MARK = "x"
+
+
+def scanner(initial: str, symbols: Sequence[str], steps: dict, verdicts: dict) -> TuringMachine:
+    """A 1-tape one-pass scanner over ``symbols``: each step rewrites the
+    scanned symbol unchanged and moves right.
+
+    ``steps[p][s]`` lists, in order, the states entered from p on s;
+    ``verdicts[p]`` is the final state p enters on the blank ``_``, writing
+    the mark ``x``.  Every state a step enters has steps or a verdict or is
+    final, so the states are ``initial``, qA, qR and those named here; the
+    tape alphabet is the symbols, the blank, and the mark if there are
+    verdicts.
+    """
+    transitions = {}
+    for p, row in steps.items():
+        for s, targets in row.items():
+            scanned = (s,)
+            transitions[(p, scanned)] = tuple([Transition(q, scanned, ("R",)) for q in targets])
+    for p, final in verdicts.items():
+        transitions[(p, (_BLANK,))] = (Transition(final, (_MARK,), ("R",)),)
+    # every target set is a tuple already, so make_machine's copy of the table is not needed
+    return TuringMachine(
+        states=frozenset((initial, "qA", "qR", *steps, *verdicts, *verdicts.values())),
+        tape_alphabet=frozenset((*symbols, _BLANK, *((_MARK,) if verdicts else ()))),
+        blank=_BLANK,
+        input_alphabet=frozenset(symbols),
+        transitions=transitions,
+        initial=initial,
+        accept="qA",
+        reject="qR",
     )
 
 

@@ -84,6 +84,19 @@ class TestTable:
         {"modulus": 2, "kind": "binary", "index": [[0, 0], [0, 0]],
          "outputs": [[0, 0], [0, 0, 0]]},
         {"modulus": 1, "kind": "unary", "index": [0], "outputs": [0]},
+        # documents table_to_obj never writes
+        {"modulus": 2, "kind": "ternary", "index": [[0, 0], [0, 0]],
+         "outputs": [[0, 1], [0, 0]]},
+        {"modulus": 2, "kind": "unary", "index": [True, 0], "outputs": [1, 1]},
+        {"modulus": 2, "kind": "unary", "index": [0.0, 0], "outputs": [0, 1]},
+        {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [0, True]},
+        {"modulus": 2.0, "kind": "unary", "index": [0, 0], "outputs": [0, 1]},
+        {"modulus": 2, "kind": "unary", "index": [[0], [0]], "outputs": [0, 1]},
+        {"modulus": 2, "kind": "unary", "index": 0, "outputs": [0, 1]},
+        {"modulus": 2, "kind": "binary", "index": [0, 0, 0, 0], "outputs": [0, 1, 0, 0]},
+        {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [1, 0]},
+        {"modulus": 2, "kind": "binary", "index": [[0, 0], [0, 0]],
+         "outputs": [[0, 1], [0, 0]]},
     ])
     def test_from_obj_rejects_outside_input(self, obj):
         with pytest.raises(ValueError):
@@ -205,6 +218,14 @@ class TestTm:
         path.write_text("states q0\nwhatnow\n")
         assert main(["tm", str(path), "--word", "a"]) == 2
 
+    def test_non_utf8_file_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.tm"
+        path.write_bytes(b"\xff" + fixtures.EVEN_A_FILE.encode())
+        assert main(["tm", str(path), "--word", "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: cannot read machine file: 'utf-8' codec")
+
     def test_missing_file(self, capsys):
         assert main(["tm", "/no/such/file.tm", "--word", "a"]) == 2
 
@@ -221,6 +242,17 @@ class TestTm:
         assert capsys.readouterr().out.splitlines()[0] == "accepted 3"
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "accept-space",
                      "-t", "10"]) == 2  # --space is required in this mode
+
+    @pytest.mark.parametrize("mode", ["run", "accept"])
+    def test_space_outside_accept_space_is_a_usage_error(self, capsys, even_a_file, mode):
+        assert main(["tm", even_a_file, "--word", "aaa", "--mode", mode, "--space", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: --space needs mode accept-space, not {mode}\n"
+
+    def test_space_checked_before_the_machine_file_is_read(self, capsys):
+        assert main(["tm", "/no/such/file.tm", "--mode", "run", "--space", "1"]) == 2
+        assert "--space needs mode accept-space" in capsys.readouterr().err
 
     def test_multichar_symbols_split_on_whitespace(self, capsys, tmp_path):
         wide, _ = harness.build_machine_pair("scan-accept", 2, 16)

@@ -107,6 +107,41 @@ class TestDeterminism:
         assert turing.is_deterministic(fixtures.accept_at_start_machine())
 
 
+class TestScannerFixtures:
+    """Scanner shapes the harness never builds: no verdicts, so no mark."""
+
+    def test_accept_at_start_has_no_steps(self):
+        m = fixtures.accept_at_start_machine()
+        assert m.states == {"qA", "qR"}
+        assert m.tape_alphabet == {"a", "_"}
+        assert m.input_alphabet == {"a"}
+        assert m.transitions == {}
+        assert (m.initial, m.accept, m.reject) == ("qA", "qA", "qR")
+
+    @pytest.mark.parametrize("distance", [1, 2, 3, 4])
+    def test_walk_right_shape(self, distance):
+        m = fixtures.walk_right_machine(distance)
+        assert m.states == {f"w{i}" for i in range(distance)} | {"qA", "qR"}
+        assert m.tape_alphabet == {"a", "_"}
+        assert m.initial == "w0"
+        targets = {key: [t.next_state for t in ts] for key, ts in m.transitions.items()}
+        assert targets == {
+            (f"w{i}", ("a",)): [f"w{i + 1}" if i + 1 < distance else "qA"]
+            for i in range(distance)
+        }
+        assert turing.validation_errors(m) == []
+
+    @pytest.mark.parametrize("distance", [0, -1])
+    def test_walk_right_needs_a_positive_distance(self, distance):
+        with pytest.raises(ValueError, match="distance must be >= 1"):
+            fixtures.walk_right_machine(distance)
+
+    def test_scanner_keeps_target_order(self):
+        m = turing.scanner("q0", "0", {"q0": {"0": ("q2", "q0")}}, {"q2": "qA"})
+        assert [t.next_state for t in m.transitions[("q0", ("0",))]] == ["q2", "q0"]
+        assert m.tape_alphabet == {"0", "x", "_"}
+
+
 class TestInitialDescription:
     def test_two_tape_layout(self):
         m = fixtures.copy_machine()
