@@ -61,7 +61,7 @@ def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
                                        logic.UnaryTable | logic.BinaryTable]:
     """Parse a ``table_to_obj`` document.  Any other raises ValueError: an unknown kind, a
     non-integer exponent, lists nested to the wrong depth, outputs not of the index."""
-    depth = {"unary": 1, "binary": 2}.get(obj["kind"])
+    depth = 1 if obj["kind"] == "unary" else 2 if obj["kind"] == "binary" else None
     if depth is None:
         raise ValueError(f"table kind must be 'unary' or 'binary', got {obj['kind']!r}")
     for value, d in ((obj["modulus"], 0), (obj["index"], depth), (obj["outputs"], depth)):
@@ -260,9 +260,6 @@ def _enumeration_line(idx, table) -> str:
 
 
 def cmd_tm(args) -> int:
-    if (args.space is None) == (args.mode == "accept-space"):
-        raise UsageError("mode accept-space needs --space" if args.space is None
-                         else f"--space needs mode accept-space, not {args.mode}")
     try:
         machine = parse_machine_file(args.machine)
     except (OSError, UnicodeDecodeError) as exc:
@@ -285,7 +282,11 @@ def cmd_tm(args) -> int:
     elif args.mode == "accept":
         outcome = accepts_within(machine, word, args.steps, want_trace=args.trace)
     else:  # accept-space
-        outcome = accepts_within_space(machine, word, args.steps, args.space, want_trace=args.trace)
+        if args.space is None:
+            raise UsageError("mode accept-space needs --space")
+        outcome = accepts_within_space(
+            machine, word, args.steps, args.space, want_trace=args.trace
+        )
     if args.json:
         print(json.dumps(outcome_to_obj(outcome)))
         return 0
@@ -409,8 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "symbols if the machine has a multi-character input symbol")
     p_tm.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
     p_tm.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
-    p_tm.add_argument("-s", "--space", type=int, default=None,
-                      help="head-position bound; needed by, and only allowed in, mode accept-space")
+    p_tm.add_argument("-s", "--space", type=int, default=None, help="head-position bound")
     p_tm.add_argument("--trace", action="store_true", help="print the witness path")
     p_tm.add_argument("--json", action="store_true")
     p_tm.set_defaults(func=cmd_tm)

@@ -87,6 +87,8 @@ class TestTable:
         # documents table_to_obj never writes
         {"modulus": 2, "kind": "ternary", "index": [[0, 0], [0, 0]],
          "outputs": [[0, 1], [0, 0]]},
+        {"modulus": 2, "kind": [], "index": [0, 0], "outputs": [0, 1]},
+        {"modulus": 2, "kind": {}, "index": [[0, 0], [0, 0]], "outputs": [[0, 1], [0, 0]]},
         {"modulus": 2, "kind": "unary", "index": [True, 0], "outputs": [1, 1]},
         {"modulus": 2, "kind": "unary", "index": [0.0, 0], "outputs": [0, 1]},
         {"modulus": 2, "kind": "unary", "index": [0, 0], "outputs": [0, True]},
@@ -242,17 +244,6 @@ class TestTm:
         assert capsys.readouterr().out.splitlines()[0] == "accepted 3"
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "accept-space",
                      "-t", "10"]) == 2  # --space is required in this mode
-
-    @pytest.mark.parametrize("mode", ["run", "accept"])
-    def test_space_outside_accept_space_is_a_usage_error(self, capsys, even_a_file, mode):
-        assert main(["tm", even_a_file, "--word", "aaa", "--mode", mode, "--space", "1"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"usage error: --space needs mode accept-space, not {mode}\n"
-
-    def test_space_checked_before_the_machine_file_is_read(self, capsys):
-        assert main(["tm", "/no/such/file.tm", "--mode", "run", "--space", "1"]) == 2
-        assert "--space needs mode accept-space" in capsys.readouterr().err
 
     def test_multichar_symbols_split_on_whitespace(self, capsys, tmp_path):
         wide, _ = harness.build_machine_pair("scan-accept", 2, 16)
