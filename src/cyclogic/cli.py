@@ -14,6 +14,7 @@ types (see ``table_from_obj``, ``outcome_from_obj``,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from typing import IO, Iterable, Sequence
@@ -21,6 +22,10 @@ from typing import IO, Iterable, Sequence
 from . import harness, logic, radix
 from .machinefile import MachineFileError, parse_machine_file
 from .turing import (
+    VERDICT_ACCEPTED,
+    VERDICT_BOUND_EXCEEDED,
+    VERDICT_DEAD_END,
+    VERDICT_REJECTED,
     InstantaneousDescription,
     RunOutcome,
     accepts_within,
@@ -43,18 +48,15 @@ def table_to_obj(
 ) -> dict:
     """Structured document: {modulus, kind, index, outputs} (exponents only)."""
     if isinstance(table, logic.UnaryTable):
-        return {
-            "modulus": table.modulus,
-            "kind": "unary",
-            "index": list(index.indices),
-            "outputs": list(table.outputs),
-        }
-    return {
-        "modulus": table.modulus,
-        "kind": "binary",
-        "index": [list(row) for row in index.matrix],
-        "outputs": [list(row) for row in table.outputs],
-    }
+        return _table_doc(table.modulus, "unary", list(index.indices), list(table.outputs))
+    return _table_doc(table.modulus, "binary", [list(row) for row in index.matrix],
+                      [list(row) for row in table.outputs])
+
+
+def _table_doc(n: int, kind: str, index, outputs) -> dict:
+    """The one key layout of a table document; ``enumerate --json`` passes
+    the family stream's tuples, which json writes as the same arrays."""
+    return {"modulus": n, "kind": kind, "index": index, "outputs": outputs}
 
 
 def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
@@ -96,11 +98,24 @@ def id_to_obj(desc: InstantaneousDescription) -> dict:
 
 
 def id_from_obj(obj: dict) -> InstantaneousDescription:
+    """Parse an ``id_to_obj`` document.  Any other raises ValueError: a state that
+    is not a string, a tape that is not a list of strings, a head that is not an integer."""
+    harness._check_type("state", obj["state"], (str,))
+    for tape in _checked_list("tapes", obj["tapes"]):
+        for symbol in _checked_list("a tape", tape):
+            harness._check_type("a tape symbol", symbol, (str,))
+    for head in _checked_list("heads", obj["heads"]):
+        harness._check_integer("a head position", head)
     return InstantaneousDescription(
         obj["state"],
         tuple(tuple(t) for t in obj["tapes"]),
         tuple(obj["heads"]),
     )
+
+
+def _checked_list(field: str, value: object) -> list:
+    harness._check_type(field, value, (list,))
+    return value
 
 
 def outcome_to_obj(outcome: RunOutcome) -> dict:
@@ -112,13 +127,22 @@ def outcome_to_obj(outcome: RunOutcome) -> dict:
     }
 
 
+_VERDICTS = (VERDICT_ACCEPTED, VERDICT_REJECTED, VERDICT_DEAD_END, VERDICT_BOUND_EXCEEDED)
+
+
 def outcome_from_obj(obj: dict) -> RunOutcome:
+    """Parse an ``outcome_to_obj`` document.  Any other raises ValueError: an unknown
+    verdict, a count that is not an integer, a trace that ``id_from_obj`` refuses."""
+    if obj["verdict"] not in _VERDICTS:
+        raise ValueError(f"verdict must be one of {_VERDICTS}, got {obj['verdict']!r}")
+    harness._check_integer("steps_used", obj["steps_used"])
+    harness._check_integer("max_head_position", obj["max_head_position"])
     trace = obj["trace"]
     return RunOutcome(
         obj["verdict"],
         obj["steps_used"],
         obj["max_head_position"],
-        None if trace is None else tuple(id_from_obj(d) for d in trace),
+        None if trace is None else tuple(id_from_obj(d) for d in _checked_list("trace", trace)),
     )
 
 
@@ -226,15 +250,12 @@ def cmd_enumerate(args) -> int:
             f'{{"total": {total}, "distinct": {distinct}}}' if args.json else f"{total} {distinct}"
         ]
     else:
-        pairs = (
-            logic.enumerate_unary(args.n, args.allow_large)
-            if args.kind == "unary"
-            else logic.enumerate_binary(args.n, args.allow_large)
-        )
+        rows = logic._family_rows(args.kind, args.n, args.allow_large)
         if args.json:
-            lines = [json.dumps([table_to_obj(idx, table) for idx, table in pairs])]
+            lines = [json.dumps([_table_doc(args.n, args.kind, idx, outs) for idx, outs in rows])]
         else:
-            lines = (_enumeration_line(idx, table) for idx, table in pairs)
+            flat = itertools.chain.from_iterable if args.kind == "binary" else iter
+            lines = (_enumeration_line(flat(idx), flat(outs)) for idx, outs in rows)
     sink = sys.stdout if args.output is None else _open_output(args.output)
     try:
         for line in lines:
@@ -252,11 +273,9 @@ def _open_output(path: str, newline: str | None = None) -> IO[str]:
         raise UsageError(f"cannot write output file: {exc}") from None
 
 
-def _enumeration_line(idx, table) -> str:
-    outs = table.outputs
-    if isinstance(table, logic.BinaryTable):
-        outs = tuple(e for row in outs for e in row)
-    return f"{','.join(map(str, idx.flat))}\t{','.join(map(str, outs))}"
+def _enumeration_line(index: Iterable[int], outputs: Iterable[int]) -> str:
+    """One text line of ``enumerate``: the flat index, a tab, the flat outputs."""
+    return f"{','.join(map(str, index))}\t{','.join(map(str, outputs))}"
 
 
 def cmd_tm(args) -> int:

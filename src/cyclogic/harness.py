@@ -308,19 +308,43 @@ def report_to_obj(report: StepReport) -> dict:
 
 
 def report_from_obj(obj: dict) -> StepReport:
-    rows = tuple(
-        StepRow(
-            length=r["l"],
-            base=r["b"],
-            word=parse_word(r["word"]),
-            steps_wide=r["steps_wide"],
-            steps_binary=r["steps_binary"],
-            agree=r["agree"],
-            capped=r["capped"],
-        )
-        for r in obj["rows"]
-    )
-    return StepReport(rows, StepSummary(**obj["summary"]))
+    """Parse a ``report_to_obj`` document.  Rows and summary fields of any other
+    type, rows whose ``l``/``b`` are not their word's length and base or whose
+    ``agree`` is not whether both searches accepted, and a note other than
+    BOUND_NOTE raise ValueError.  The summary figures are not re-fitted."""
+    rows = tuple(_row_from_obj(r) for r in obj["rows"])
+    summary = obj["summary"]
+    for key, kind in (("fitted_exponent", float), ("max_ratio", float),
+                      ("exponent_at_most_3", bool), ("exponent_at_most_6", bool)):
+        _check_type(key, summary[key], (kind, type(None)))
+    if summary["note"] != BOUND_NOTE:
+        raise ValueError(f"summary note is not BOUND_NOTE: {summary['note']!r}")
+    return StepReport(rows, StepSummary(**summary))
+
+
+def _row_from_obj(r: dict) -> StepRow:
+    _check_integer("l", r["l"])
+    _check_integer("b", r["b"])
+    for key in ("steps_wide", "steps_binary"):
+        if r[key] is not None:
+            _check_integer(key, r[key])
+    for key in ("agree", "capped"):
+        _check_type(key, r[key], (bool,))
+    _check_type("word", r["word"], (str,))
+    word = parse_word(r["word"])
+    if (r["l"], r["b"]) != (len(word), word.base):
+        raise ValueError(f"l={r['l']}, b={r['b']} are not the length and base of {r['word']}")
+    if r["agree"] != ((r["steps_wide"] is None) == (r["steps_binary"] is None)):
+        raise ValueError(f"agree={r['agree']} does not match steps {r['steps_wide']}, "
+                         f"{r['steps_binary']}")
+    return StepRow(r["l"], r["b"], word, r["steps_wide"], r["steps_binary"],
+                   r["agree"], r["capped"])
+
+
+def _check_type(field: str, value: object, kinds: tuple[type, ...]) -> None:
+    if not isinstance(value, kinds):
+        names = " or ".join("null" if k is type(None) else f"a {k.__name__}" for k in kinds)
+        raise ValueError(f"{field} must be {names}, got {value!r}")
 
 
 def emit_report(report: StepReport, fmt: str, sink: IO[str]) -> None:

@@ -7,14 +7,15 @@ pairwise combination under squared powers.
 ``reference_search`` is the engine's former breadth-first search: it keeps
 every visited configuration whole and steps with ``turing.successors``.
 ``reference_digits`` is the library's former rebasing loop: one ``divmod``
-per digit.
+per digit.  ``reference_enumeration`` builds a table family cell by cell
+from the two generator operations, counting through the indexes in base n.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 
-from cyclogic import turing
+from cyclogic import logic, turing
 from cyclogic.turing import InstantaneousDescription, RunOutcome, TuringMachine
 
 
@@ -225,3 +226,28 @@ def unary_exponents(table):
 
 def binary_exponents(table):
     return table.outputs
+
+
+def reference_enumeration(kind: str, n: int) -> list[dict]:
+    """The ``enumerate --json`` documents of a whole family, indexes in
+    lexicographic order: index k is k written in base n, most significant
+    entry first, and each output cell is its generator's value shifted by
+    the cell's index entry."""
+    width = n if kind == "unary" else n * n
+    documents = []
+    for k in range(n**width):
+        flat = reference_digits(k, n, pad_to=width)[::-1]
+        if kind == "unary":
+            index = list(flat)
+            outputs = [logic.cyclic_shift(n, flat[a], logic.LogicValue(n, a)).exponent
+                       for a in range(n)]
+        else:
+            index, outputs = [], []
+            for a in range(n):
+                index.append(list(flat[a * n : (a + 1) * n]))
+                outputs.append([])
+                for b in range(n):
+                    product = logic.exponent_product(n, a, b)
+                    outputs[a].append(logic.cyclic_shift(n, flat[a * n + b], product).exponent)
+        documents.append({"modulus": n, "kind": kind, "index": index, "outputs": outputs})
+    return documents

@@ -7,7 +7,7 @@ import pytest
 
 from cyclogic import cli, fixtures, harness, logic, machinefile, radix, turing
 from cyclogic.cli import main
-from oracles import decimal_value, naive_value
+from oracles import decimal_value, naive_value, reference_enumeration
 
 
 @pytest.fixture
@@ -139,6 +139,16 @@ class TestClassify:
             assert {k: table_obj[k] for k in fields} == classify_obj
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Byte equality of two long outputs, reported at the first difference
+    (pytest's full diff of megabyte strings takes minutes)."""
+    if got != want:
+        at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                  min(len(got), len(want)))
+        start = max(at - 60, 0)
+        pytest.fail(f"at char {at}: got {got[start : at + 60]!r}, want {want[start : at + 60]!r}")
+
+
 class TestEnumerate:
     def test_distinct_only_binary(self, capsys):
         assert main(["enumerate", "--n", "2", "--kind", "binary", "--distinct-only"]) == 0
@@ -193,6 +203,49 @@ class TestEnumerate:
                      "--output", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert len(path.read_text().splitlines()) == 4
+
+    @pytest.mark.parametrize("kind, n", [("unary", n) for n in range(2, 7)]
+                             + [("binary", 2), ("binary", 3)])
+    def test_matches_the_reference_enumeration(self, capsys, kind, n):
+        documents = reference_enumeration(kind, n)
+
+        def flat(cells):
+            return ",".join(str(e) for e in (cells if kind == "unary" else sum(cells, [])))
+
+        argv = ["enumerate", "--n", str(n), "--kind", kind]
+        assert main(argv) == 0
+        assert_same_text(capsys.readouterr().out, "".join(
+            f"{flat(d['index'])}\t{flat(d['outputs'])}\n" for d in documents))
+        assert main(argv + ["--json"]) == 0
+        assert_same_text(capsys.readouterr().out, json.dumps(documents) + "\n")
+
+    def test_output_file_equals_stdout(self, capsys, tmp_path):
+        argv = ["enumerate", "--n", "3", "--kind", "binary", "--json"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        path = tmp_path / "family.json"
+        assert main(argv + ["--output", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == stdout
+
+    def test_enumerate_builds_no_table_objects(self, capsys, monkeypatch):
+        for idx, table in logic.enumerate_binary(2):
+            rebuilt = logic.BinaryIndex(2, idx.matrix)
+            assert (idx, table) == (rebuilt, logic.binary_from_index(rebuilt))
+        assert [idx.flat for idx, _ in logic.enumerate_binary(2)] == list(
+            itertools.product(range(2), repeat=4))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("enumerate built a per-table object")
+
+        for name in ("UnaryIndex", "BinaryIndex", "UnaryTable", "BinaryTable"):
+            monkeypatch.setattr(logic, name, refuse)
+        monkeypatch.setattr(cli, "table_to_obj", refuse)
+        for argv in (["--n", "3", "--kind", "binary"],
+                     ["--n", "3", "--kind", "binary", "--json"],
+                     ["--n", "4", "--kind", "unary", "--json"]):
+            assert main(["enumerate"] + argv) == 0
+            assert capsys.readouterr().out
 
 
 class TestTm:
@@ -262,6 +315,56 @@ class TestTm:
         assert outcome.verdict == "accepted"
         assert outcome.steps_used == 3
         assert outcome.trace[-1].state == "qA"
+
+
+class TestOutcomeDocuments:
+    def test_fixture_outcomes_round_trip(self):
+        verdicts = set()
+        for name, m in fixtures.fixture_suite().items():
+            runs = [turing.accepts_within,
+                    lambda m, w, t, want_trace: turing.accepts_within_space(m, w, t, 2, want_trace)]
+            if turing.is_deterministic(m):
+                runs.append(turing.run_deterministic)
+            for l in range(4):
+                for w in itertools.product(sorted(m.input_alphabet), repeat=l):
+                    for t, run, want_trace in itertools.product(range(6), runs, (False, True)):
+                        outcome = run(m, w, t, want_trace=want_trace)
+                        obj = json.loads(json.dumps(cli.outcome_to_obj(outcome)))
+                        assert cli.outcome_from_obj(obj) == outcome, (name, w, t)
+                        verdicts.add(outcome.verdict)
+        assert verdicts == {"accepted", "rejected", "dead-end", "bound-exceeded"}
+
+    VALID = {"verdict": "accepted", "steps_used": 2, "max_head_position": 2,
+             "trace": [{"state": "q0", "tapes": [["a", "b"]], "heads": [1]}]}
+
+    @pytest.mark.parametrize("outcome, desc", [
+        ({"verdict": "maybe", "steps_used": 1.5, "max_head_position": True, "trace": None}, {}),
+        ({"verdict": "maybe"}, {}),
+        ({"verdict": ["accepted"]}, {}),
+        ({"steps_used": 1.5}, {}),
+        ({"steps_used": True}, {}),
+        ({"steps_used": "2"}, {}),
+        ({"max_head_position": True}, {}),
+        ({"max_head_position": None}, {}),
+        ({"trace": "ab"}, {}),
+        ({}, {"tapes": ["ab"]}),
+        ({}, {"tapes": [["a", 1]]}),
+        ({}, {"tapes": "ab"}),
+        ({}, {"state": 0}),
+        ({}, {"state": None}),
+        ({}, {"heads": [1.0]}),
+        ({}, {"heads": [False]}),
+        ({}, {"heads": 1}),
+    ])
+    def test_from_obj_rejects_outside_input(self, outcome, desc):
+        obj = {**self.VALID, "trace": [{**self.VALID["trace"][0], **desc}], **outcome}
+        with pytest.raises(ValueError):
+            cli.outcome_from_obj(obj)
+
+    def test_valid_document_is_read(self):
+        outcome = cli.outcome_from_obj(self.VALID)
+        assert outcome.trace[0].tapes == (("a", "b"),)
+        assert cli.outcome_to_obj(outcome) == self.VALID
 
 
 class TestEncode:

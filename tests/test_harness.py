@@ -362,6 +362,42 @@ class TestReports:
         harness.emit_report(report, "json", buf)
         assert harness.report_from_obj(json.loads(buf.getvalue())) == report
 
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    @pytest.mark.parametrize("base_rule, step_cap", [("square", 64), (4, 64), (4, 3)])
+    def test_real_reports_round_trip(self, family, base_rule, step_cap):
+        spec = harness.ExperimentSpec((1, 2, 3), base_rule, 4, 5, family, step_cap)
+        obj = json.loads(json.dumps(harness.report_to_obj(harness.run_experiment(spec))))
+        assert harness.report_to_obj(harness.report_from_obj(obj)) == obj
+
+    @pytest.mark.parametrize("row, summary", [
+        ({"l": 1.0, "b": True, "steps_wide": "x", "agree": 1, "capped": 0}, {}),
+        ({"l": 1.0}, {}),
+        ({"l": True}, {}),
+        ({"b": True}, {}),
+        ({"b": 2.0}, {}),
+        ({"l": 2}, {}),  # not the word's digit count
+        ({"b": 4}, {}),  # not the word's base
+        ({"word": 7}, {}),
+        ({"steps_wide": "x"}, {}),
+        ({"steps_binary": 1.5}, {}),
+        ({"steps_wide": False}, {}),
+        ({"agree": 1}, {}),
+        ({"agree": None}, {}),
+        ({"capped": 0}, {}),
+        ({"agree": False}, {}),  # both searches accepted
+        ({}, {"note": "exponent at most 3"}),
+        ({}, {"fitted_exponent": "?"}),
+        ({}, {"max_ratio": 2}),
+        ({}, {"exponent_at_most_3": 1}),
+    ])
+    def test_from_obj_rejects_outside_input(self, row, summary):
+        obj = harness.report_to_obj(self.sample())
+        assert (obj["rows"][0]["l"], obj["rows"][0]["b"], obj["rows"][0]["agree"]) == (1, 2, True)
+        obj["rows"][0].update(row)
+        obj["summary"].update(summary)
+        with pytest.raises(ValueError):
+            harness.report_from_obj(obj)
+
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             harness.emit_report(self.sample(), "xml", io.StringIO())
