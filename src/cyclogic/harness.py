@@ -26,12 +26,13 @@ summary repeats that note verbatim rather than resolving it.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import random
 import statistics
 from dataclasses import asdict, dataclass, fields
-from typing import IO, Iterable, Sequence
+from typing import IO, Any, Callable, Iterable, Sequence
 
 from .radix import RadixWord, format_word, parse_word, rebase
 from .turing import (
@@ -272,21 +273,26 @@ def run_experiment(spec: ExperimentSpec) -> StepReport:
                     capped=VERDICT_BOUND_EXCEEDED in (wide_out.verdict, binary_out.verdict),
                 )
             )
-    fit_rows = [
-        (r.steps_wide, r.steps_binary)
-        for r in rows
-        if not r.capped and r.steps_wide is not None and r.steps_binary is not None
-    ]
-    fitted = fit_exponent(fit_rows)
-    ratios = [sb / sw for sw, sb in fit_rows if sw > 0]
-    summary = StepSummary(
+    fitted = fit_exponent(_fit_pairs(rows))
+    return StepReport(tuple(rows), _summary(rows, fitted))
+
+
+def _fit_pairs(rows: Iterable[StepRow]) -> list[tuple[int, int]]:
+    """(steps_wide, steps_binary) of each row that enters the fit."""
+    return [(r.steps_wide, r.steps_binary) for r in rows
+            if not r.capped and None not in (r.steps_wide, r.steps_binary)]
+
+
+def _summary(rows: Sequence[StepRow], fitted: float | None) -> StepSummary:
+    """Everything in a summary but the fit itself follows from the rows and the fit."""
+    ratios = [sb / sw for sw, sb in _fit_pairs(rows) if sw > 0]
+    return StepSummary(
         fitted_exponent=fitted,
         max_ratio=max(ratios) if ratios else None,
         exponent_at_most_3=None if fitted is None else fitted <= 3.0,
         exponent_at_most_6=None if fitted is None else fitted <= 6.0,
         note=BOUND_NOTE,
     )
-    return StepReport(tuple(rows), summary)
 
 
 def report_to_obj(report: StepReport) -> dict:
@@ -307,44 +313,45 @@ def report_to_obj(report: StepReport) -> dict:
     }
 
 
+def _inverts(write: Callable[[Any], object]):
+    """Decorate a reader of ``write``'s documents.  The reader converts each
+    leaf to the type ``write`` emits and builds the object.  The decorated
+    reader returns it if ``write`` gives the document back exactly (the same
+    JSON text: 1, 1.0 and true differ, "ab" is not ["a", "b"], NaN is never
+    written), and raises ValueError otherwise, for a malformed shape too.
+    """
+    def decorate(read):
+        @functools.wraps(read)
+        def read_back(doc):
+            try:
+                value = read(doc)
+                written, given = (json.dumps(o, sort_keys=True, allow_nan=False)
+                                  for o in (write(value), doc))
+            except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
+                raise ValueError(f"not a written document: {type(exc).__name__}: {exc}") from None
+            if written != given:
+                raise ValueError(f"document differs from its written form {written[:200]}")
+            return value
+        return read_back
+    return decorate
+
+
+@_inverts(report_to_obj)
 def report_from_obj(obj: dict) -> StepReport:
-    """Parse a ``report_to_obj`` document.  Rows and summary fields of any other
-    type, rows whose ``l``/``b`` are not their word's length and base or whose
-    ``agree`` is not whether both searches accepted, and a note other than
-    BOUND_NOTE raise ValueError.  The summary figures are not re-fitted."""
-    rows = tuple(_row_from_obj(r) for r in obj["rows"])
-    summary = obj["summary"]
-    for key, kind in (("fitted_exponent", float), ("max_ratio", float),
-                      ("exponent_at_most_3", bool), ("exponent_at_most_6", bool)):
-        _check_type(key, summary[key], (kind, type(None)))
-    if summary["note"] != BOUND_NOTE:
-        raise ValueError(f"summary note is not BOUND_NOTE: {summary['note']!r}")
-    return StepReport(rows, StepSummary(**summary))
+    """Parse a ``report_to_obj`` document; any other raises ValueError (see
+    ``_inverts``).  Row ``l``, ``b`` and ``agree`` and the summary figures are
+    computed from the words, step counts and ``fitted_exponent``, which is read,
+    not re-fitted: its last bits depend on the platform's ``math.log``."""
+    rows = tuple(map(_row_from_obj, obj["rows"]))
+    fitted = obj["summary"]["fitted_exponent"]
+    return StepReport(rows, _summary(rows, None if fitted is None else float(fitted)))
 
 
 def _row_from_obj(r: dict) -> StepRow:
-    _check_integer("l", r["l"])
-    _check_integer("b", r["b"])
-    for key in ("steps_wide", "steps_binary"):
-        if r[key] is not None:
-            _check_integer(key, r[key])
-    for key in ("agree", "capped"):
-        _check_type(key, r[key], (bool,))
-    _check_type("word", r["word"], (str,))
-    word = parse_word(r["word"])
-    if (r["l"], r["b"]) != (len(word), word.base):
-        raise ValueError(f"l={r['l']}, b={r['b']} are not the length and base of {r['word']}")
-    if r["agree"] != ((r["steps_wide"] is None) == (r["steps_binary"] is None)):
-        raise ValueError(f"agree={r['agree']} does not match steps {r['steps_wide']}, "
-                         f"{r['steps_binary']}")
-    return StepRow(r["l"], r["b"], word, r["steps_wide"], r["steps_binary"],
-                   r["agree"], r["capped"])
-
-
-def _check_type(field: str, value: object, kinds: tuple[type, ...]) -> None:
-    if not isinstance(value, kinds):
-        names = " or ".join("null" if k is type(None) else f"a {k.__name__}" for k in kinds)
-        raise ValueError(f"{field} must be {names}, got {value!r}")
+    word = parse_word(str(r["word"]))
+    wide, binary = (None if r[k] is None else int(r[k]) for k in ("steps_wide", "steps_binary"))
+    return StepRow(len(word), word.base, word, wide, binary,
+                   (wide is None) == (binary is None), bool(r["capped"]))
 
 
 def emit_report(report: StepReport, fmt: str, sink: IO[str]) -> None:

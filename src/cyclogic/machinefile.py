@@ -76,12 +76,12 @@ def parse_machine(text: str) -> TuringMachine:
             key = (q, scanned)
             transitions.setdefault(key, []).append(Transition(p, writes, moves))
             continue
-        name, _, rest = line.partition(" ")
+        name, *values = line.split()
         if name not in _DIRECTIVES:
             raise MachineFileError(f"line {lineno}: unknown directive {name!r}")
         if name in fields:
             raise MachineFileError(f"line {lineno}: duplicate directive {name!r}")
-        fields[name] = rest.split()
+        fields[name] = values
 
     for required in ("states", "blank", "initial", "accept", "reject"):
         if required not in fields:
@@ -95,8 +95,9 @@ def parse_machine(text: str) -> TuringMachine:
 
     tapes = 1
     if "tapes" in fields:
+        value = single("tapes")
         try:
-            tapes = int(single("tapes"))
+            tapes = int(value)
         except ValueError:
             raise MachineFileError("directive 'tapes' needs an integer") from None
 

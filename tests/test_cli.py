@@ -4,10 +4,13 @@ import itertools
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclogic import cli, fixtures, harness, logic, machinefile, radix, turing
 from cyclogic.cli import main
+from documents import assert_refused_or_read_back, perturbed
 from oracles import decimal_value, naive_value, reference_enumeration
+from test_turing_differential import machines
 
 
 @pytest.fixture
@@ -111,6 +114,33 @@ class TestTable:
         assert obj["classification"] == "or"
         assert obj["catalog_label"] == "nand"
         assert obj["catalog_agrees"] is False
+        idx = logic.BinaryIndex(2, ((0, 0), (0, 0)))
+        assert cli.table_from_obj(obj) == (idx, logic.binary_from_index(idx))
+
+
+@st.composite
+def tables(draw):
+    """A random index at n = 2..4 and its table."""
+    n = draw(st.integers(2, 4))
+    row = st.lists(st.integers(0, n - 1), min_size=n, max_size=n).map(tuple)
+    if draw(st.booleans()):
+        idx = logic.UnaryIndex(n, draw(row))
+        return idx, logic.unary_from_index(idx)
+    idx = logic.BinaryIndex(n, tuple(draw(row) for _ in range(n)))
+    return idx, logic.binary_from_index(idx)
+
+
+def write_table(pair):
+    return cli.table_to_obj(*pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_table_reader_refuses_or_reads_back(data):
+    pair = data.draw(tables())
+    doc = json.loads(json.dumps(write_table(pair)))
+    assert cli.table_from_obj(doc) == pair
+    assert_refused_or_read_back(cli.table_from_obj, write_table, data.draw(perturbed(doc)))
 
 
 class TestClassify:
@@ -365,6 +395,43 @@ class TestOutcomeDocuments:
         outcome = cli.outcome_from_obj(self.VALID)
         assert outcome.trace[0].tapes == (("a", "b"),)
         assert cli.outcome_to_obj(outcome) == self.VALID
+
+
+@st.composite
+def outcomes(draw):
+    """Runs and searches of the differential tests' random machines, traced and
+    untraced, with the outcome's machine and word."""
+    m, word = draw(machines())
+    t, want_trace = draw(st.integers(0, 7)), draw(st.booleans())
+    mode = draw(st.sampled_from(["accept", "accept-space", "run"]))
+    if mode == "run" and turing.is_deterministic(m):
+        outcome = turing.run_deterministic(m, word, t, want_trace=want_trace)
+    elif mode == "accept-space":
+        s = draw(st.integers(1, 5))
+        outcome = turing.accepts_within_space(m, word, t, s, want_trace=want_trace)
+    else:
+        outcome = turing.accepts_within(m, word, t, want_trace=want_trace)
+    return m, word, outcome
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_outcome_reader_refuses_or_reads_back(data):
+    _, _, outcome = data.draw(outcomes())
+    doc = json.loads(json.dumps(cli.outcome_to_obj(outcome)))
+    assert cli.outcome_from_obj(doc) == outcome
+    assert_refused_or_read_back(cli.outcome_from_obj, cli.outcome_to_obj,
+                                data.draw(perturbed(doc)))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_id_reader_refuses_or_reads_back(data):
+    m, word, outcome = data.draw(outcomes())
+    desc = data.draw(st.sampled_from([turing.initial_id(m, word), *(outcome.trace or ())]))
+    doc = json.loads(json.dumps(cli.id_to_obj(desc)))
+    assert cli.id_from_obj(doc) == desc
+    assert_refused_or_read_back(cli.id_from_obj, cli.id_to_obj, data.draw(perturbed(doc)))
 
 
 class TestEncode:

@@ -1,5 +1,6 @@
 """Machine pairs, language equivalence, and the step-count experiment."""
 
+import csv
 import io
 import itertools
 import json
@@ -10,9 +11,10 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclogic import harness, radix, turing
+from documents import assert_refused_or_read_back, perturbed
 
 
 def wide_input(word):
@@ -323,6 +325,23 @@ class TestExponentFit:
         assert result.stdout.strip() == "False"
 
 
+@st.composite
+def reports(draw):
+    """Reports of random small specs: every family, fixed and square bases,
+    and step caps low enough to cap some rows."""
+    family = draw(st.sampled_from(harness.FAMILIES))
+    bases = ["square", 2, 4, 16] + ([] if family == "digit-sum-parity" else [3, 10])
+    spec = harness.ExperimentSpec(
+        lengths=tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))),
+        base_rule=draw(st.sampled_from(bases)),
+        words_per_length=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+        machine_family=family,
+        step_cap=draw(st.integers(1, 40)),
+    )
+    return harness.run_experiment(spec)
+
+
 class TestReports:
     def sample(self):
         spec = harness.ExperimentSpec(
@@ -342,9 +361,7 @@ class TestReports:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "l,b,word,steps_wide,steps_binary,agree,capped"
         assert len(lines) == 1 + len(report.rows)
-        import csv as csv_mod
-
-        rows = list(csv_mod.reader(io.StringIO(buf.getvalue())))
+        rows = list(csv.reader(io.StringIO(buf.getvalue())))
         assert radix.parse_word(rows[1][2]) == report.rows[0].word
 
     def test_csv_null_and_boolean_fields(self):
@@ -397,6 +414,32 @@ class TestReports:
         obj["summary"].update(summary)
         with pytest.raises(ValueError):
             harness.report_from_obj(obj)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_perturbed_documents_are_refused_or_read_back(self, data):
+        report = data.draw(reports())
+        doc = json.loads(json.dumps(harness.report_to_obj(report)))
+        assert harness.report_from_obj(doc) == report
+        assert_refused_or_read_back(harness.report_from_obj, harness.report_to_obj,
+                                    data.draw(perturbed(doc)))
+
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(reports())
+    def test_csv_carries_the_json_rows(self, report):
+        buf = io.StringIO()
+        harness.emit_report(report, "csv", buf)
+        header, *lines = csv.reader(io.StringIO(buf.getvalue()))
+        rows = harness.report_to_obj(report)["rows"]
+        assert header == list(rows[0])
+        assert header[-1] == "capped"
+
+        def field(value):  # null is empty, booleans are lowercase
+            if value is None:
+                return ""
+            return ("true" if value else "false") if isinstance(value, bool) else str(value)
+
+        assert lines == [[field(v) for v in row.values()] for row in rows]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):

@@ -72,6 +72,17 @@ class TestGrammarErrors:
         with pytest.raises(machinefile.MachineFileError):
             machinefile.parse_machine(mutation(fixtures.EVEN_A_FILE))
 
+    def test_directives_split_on_any_whitespace(self):
+        text = fixtures.EVEN_A_FILE.replace("states ", "states\t").replace("input ", "input \t ")
+        assert text != fixtures.EVEN_A_FILE
+        assert machinefile.parse_machine(text) == fixtures.even_a_machine()
+
+    @pytest.mark.parametrize("line", ["tapes", "tapes 1 2"])
+    def test_tapes_needs_exactly_one_value(self, line):
+        with pytest.raises(machinefile.MachineFileError,
+                           match="directive 'tapes' needs exactly one value"):
+            machinefile.parse_machine(fixtures.EVEN_A_FILE.replace("tapes 1", line))
+
     def test_length_mismatch_in_trans(self):
         bad = fixtures.EVEN_A_FILE.replace(
             "trans q0 [a] -> q1 [a] [R]", "trans q0 [a] -> q1 [a a] [R]"
