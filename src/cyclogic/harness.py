@@ -3,7 +3,10 @@
 For each sampled length-l base-b word the harness runs a pair of machines
 built from the same family — one over an alphabet of b digit symbols, one
 over {0, 1} fed the binary re-encoding of the word — and records the
-minimal accepting step counts found by bounded breadth-first search.
+minimal accepting step counts within the step cap.  A deterministic machine
+that moves right on every step is run (``turing.right_moving_acceptor``);
+any other goes through the bounded breadth-first search
+(``turing.accepts_within``).  Both give the same outcome.
 A least-squares fit of log(steps_binary) against log(steps_wide) gives a
 descriptive growth exponent for the slowdown.
 
@@ -40,6 +43,7 @@ from .turing import (
     VERDICT_ACCEPTED,
     VERDICT_BOUND_EXCEEDED,
     accepts_within,
+    right_moving_acceptor,
     scanner,
 )
 
@@ -246,20 +250,25 @@ def fit_exponent(pairs: Iterable[tuple[int, int]]) -> float | None:
 def run_experiment(spec: ExperimentSpec) -> StepReport:
     """Sample words, run both machines on each, and fit the growth exponent.
 
-    Rows where either search hits the step cap are flagged as capped and
-    excluded from the fit; they are never dropped from the report.
+    Each machine gets its engine once: a run if it is deterministic and
+    moves right on every step, else the search.  Rows where either machine
+    hits the step cap are flagged as capped and excluded from the fit; they
+    are never dropped from the report.
     """
     rng = random.Random(spec.seed)
     rows: list[StepRow] = []
     for l in spec.lengths:
         b = spec.base_for(l)
-        wide, binary = build_machine_pair(spec.machine_family, l, b)
+        wide, binary = [
+            right_moving_acceptor(m) or functools.partial(accepts_within, m, want_trace=False)
+            for m in build_machine_pair(spec.machine_family, l, b)
+        ]
         for _ in range(spec.words_per_length):
             word = RadixWord(b, tuple(rng.randrange(b) for _ in range(l)))
             wide_input = tuple(str(d) for d in word.digits)
             binary_input = tuple(str(d) for d in rebase(word, 2).digits)
-            wide_out = accepts_within(wide, wide_input, spec.step_cap, want_trace=False)
-            binary_out = accepts_within(binary, binary_input, spec.step_cap, want_trace=False)
+            wide_out = wide(wide_input, spec.step_cap)
+            binary_out = binary(binary_input, spec.step_cap)
             wide_ok = wide_out.verdict == VERDICT_ACCEPTED
             binary_ok = binary_out.verdict == VERDICT_ACCEPTED
             rows.append(

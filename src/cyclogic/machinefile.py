@@ -18,7 +18,8 @@ Symbols and state names are whitespace-separated names of any length (``0`` and
 ``1023`` alike) holding no ``#``, ``[`` or ``]``; the blank is spelled ``_``.
 Each ``trans`` line names one target <p; writes; moves> for the key (q; scanned
 symbols); duplicate keys accumulate into a nondeterministic target set in file
-order.  Bracketed lists carry exactly one symbol (or move) per tape.
+order.  Bracketed lists carry exactly one symbol (or move) per tape.  The tape
+count is an ASCII decimal numeral without sign or leading zero, as written.
 
 Parsing is purely syntactic: a file that, say, writes the blank parses
 fine and is then flagged by ``turing.validate``.
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import re
 
+from .radix import NUMERAL
 from .turing import Transition, TuringMachine, make_machine
 
 _TRANS_RE = re.compile(
@@ -96,10 +98,9 @@ def parse_machine(text: str) -> TuringMachine:
     tapes = 1
     if "tapes" in fields:
         value = single("tapes")
-        try:
-            tapes = int(value)
-        except ValueError:
-            raise MachineFileError("directive 'tapes' needs an integer") from None
+        if not re.fullmatch(NUMERAL, value):  # int() reads "+1", "01", "1_0" and non-ASCII digits
+            raise MachineFileError("directive 'tapes' needs an integer")
+        tapes = int(value)
 
     blank = single("blank")
     tape_alphabet = set(fields.get("tape_alphabet", []))

@@ -170,8 +170,9 @@ def format_word(w: RadixWord) -> str:
     return f"b:{w.base}|{','.join(str(d) for d in w.digits)}"
 
 
-_NUMERAL = "(?:0|[1-9][0-9]*)"  # ASCII decimal, no sign and no leading zero
-_WORD_SPEC = re.compile(rf"b:({_NUMERAL})\|({_NUMERAL}(?:,{_NUMERAL})*)?")
+#: A written natural number: ASCII decimal, no sign and no leading zero.
+NUMERAL = "(?:0|[1-9][0-9]*)"
+_WORD_SPEC = re.compile(rf"b:({NUMERAL})\|({NUMERAL}(?:,{NUMERAL})*)?")
 
 
 def parse_word(text: str) -> RadixWord:

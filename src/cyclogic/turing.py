@@ -24,7 +24,10 @@ unvisited square.
 Bounded acceptance searches the step graph breadth-first with visited-set
 deduplication, so an accepting outcome always carries a minimal-length
 witness path.  The space-bounded variant additionally prunes every
-configuration whose head positions exceed the bound.
+configuration whose head positions exceed the bound.  For a deterministic
+machine that moves every head right on every step, the search follows one
+path that never revisits a configuration; ``right_moving_acceptor`` gives
+the same outcomes by running that path, without search bookkeeping.
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
 steps on one mutable list per tape.  The search stores each visited
@@ -339,6 +342,12 @@ def run_deterministic(
     _check_bound("step", max_steps, 0)
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
+    return _run(m, w, max_steps, want_trace)
+
+
+def _run(m: TuringMachine, w: Word, max_steps: int, want_trace: bool) -> RunOutcome:
+    """The step loop of ``run_deterministic``, on a machine known to be
+    deterministic and a checked bound."""
     start = initial_id(m, w)
     table, blank = m.transitions, m.blank
     state, heads = start.state, start.heads
@@ -373,6 +382,34 @@ def run_deterministic(
         if trace is not None:
             trace.append(InstantaneousDescription(state, tuple(map(tuple, tapes)), heads))
     return RunOutcome(verdict, steps, max_head, tuple(trace) if trace is not None else None)
+
+
+def right_moving_acceptor(m: TuringMachine) -> Callable[[Word, int], RunOutcome] | None:
+    """For a deterministic machine whose every transition moves every head
+    right, a function (w, t) -> ``accepts_within(m, w, t, want_trace=False)``
+    that runs the one computation instead of searching; None for any other
+    machine.  Decide once per machine: the check walks the whole table.
+
+    Every head moves right on every step, so no configuration repeats and
+    none is killed at the left end or pruned by the step bound: the search's
+    one path is the run.  Only a rejection reads differently: the search
+    skips the reject state, so it reports bound-exceeded when the rejecting
+    step is step t and dead-end before.
+    """
+    if not is_deterministic(m) or any(
+        mv != "R" for targets in m.transitions.values() for tr in targets for mv in tr.moves
+    ):
+        return None
+
+    def accepts(w: Word, t: int) -> RunOutcome:
+        _check_bound("step", t, 0)
+        outcome = _run(m, w, t, False)
+        if outcome.verdict != VERDICT_REJECTED:
+            return outcome
+        verdict = VERDICT_BOUND_EXCEEDED if outcome.steps_used == t else VERDICT_DEAD_END
+        return RunOutcome(verdict, outcome.steps_used, outcome.max_head_position)
+
+    return accepts
 
 
 def accepts_within(

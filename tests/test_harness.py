@@ -290,6 +290,60 @@ class TestRunExperiment:
             assert row.steps_binary is None and not row.capped
 
 
+def emitted(report):
+    """The report's JSON and CSV texts."""
+    texts = []
+    for fmt in ("json", "csv"):
+        buf = io.StringIO()
+        harness.emit_report(report, fmt, buf)
+        texts.append(buf.getvalue())
+    return texts
+
+
+class TestEngineChoice:
+    """Deterministic right-moving machines are run, not searched; the reports
+    must not tell."""
+
+    CASES = [(family, rule) for family in harness.FAMILIES for rule in ("square", 2, 3, 4, 16)
+             if not (family == "digit-sum-parity" and rule == 3)]  # parity refuses base 3
+
+    @pytest.mark.parametrize("family, base_rule", CASES)
+    def test_rows_equal_the_searched_rows(self, family, base_rule, monkeypatch):
+        lengths = (1, 2, 3) if base_rule == "square" else (1, 2, 3, 6)
+        caps = {*range(1, 7), *(l + k for l in lengths for k in (1, 2)), 1024}
+        if base_rule == "square":  # around the binary twins' l**3 + 1 steps
+            caps |= {l**3 + k for l in lengths for k in (0, 1, 2)}
+        for cap in sorted(caps):
+            spec = harness.ExperimentSpec(lengths=lengths, base_rule=base_rule, words_per_length=4,
+                                          seed=cap, machine_family=family, step_cap=cap)
+            report = harness.run_experiment(spec)
+            with monkeypatch.context() as mp:
+                mp.setattr(harness, "right_moving_acceptor", lambda m: None)
+                searched = harness.run_experiment(spec)
+            assert report == searched, cap
+            assert emitted(report) == emitted(searched), cap
+
+    @pytest.mark.parametrize("family, searches", [
+        ("scan-accept", 0), ("digit-sum-parity", 0), ("guessed-digit", 2 * 3 * 5),
+    ])
+    def test_one_engine_decision_per_machine(self, family, searches, monkeypatch):
+        calls = {"is_deterministic": 0, "accepts_within": 0}
+
+        def counted(name, fn):
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return count
+
+        monkeypatch.setattr(turing, "is_deterministic", counted("is_deterministic",
+                                                                turing.is_deterministic))
+        monkeypatch.setattr(harness, "accepts_within", counted("accepts_within",
+                                                               turing.accepts_within))
+        spec = harness.ExperimentSpec((1, 2, 3), 4, 5, 7, family, 1024)
+        harness.run_experiment(spec)
+        assert calls == {"is_deterministic": 2 * 3, "accepts_within": searches}
+
+
 class TestExponentFit:
     def test_exact_cubic(self):
         slope = harness.fit_exponent([(2, 8), (4, 64)])

@@ -83,6 +83,19 @@ class TestGrammarErrors:
                            match="directive 'tapes' needs exactly one value"):
             machinefile.parse_machine(fixtures.EVEN_A_FILE.replace("tapes 1", line))
 
+    @pytest.mark.parametrize("value", ["+1", "\u0661", "01", "1_0", "-1", "1.0", "\uff11", "0x1"])
+    def test_tapes_needs_a_canonical_numeral(self, value):
+        """Only the numeral ``format_machine`` writes: no sign, no leading
+        zero, no underscore, no digit outside ASCII."""
+        with pytest.raises(machinefile.MachineFileError,
+                           match="directive 'tapes' needs an integer"):
+            machinefile.parse_machine(fixtures.EVEN_A_FILE.replace("tapes 1", f"tapes {value}"))
+
+    @pytest.mark.parametrize("tapes", [0, 2, 10])
+    def test_other_tape_counts_parse(self, tapes):
+        text = fixtures.EVEN_A_FILE.replace("tapes 1", f"tapes {tapes}")
+        assert machinefile.parse_machine(text).tapes == tapes
+
     def test_length_mismatch_in_trans(self):
         bad = fixtures.EVEN_A_FILE.replace(
             "trans q0 [a] -> q1 [a] [R]", "trans q0 [a] -> q1 [a a] [R]"

@@ -3,7 +3,8 @@
 Random small machines (1-2 tapes, deterministic and nondeterministic, with
 loops, left moves from square 1 and writes that grow the tape) must give
 exactly the reference outcome, witness path included, for every step and
-space bound.
+space bound.  The right-moving fast path must give exactly the search's
+untraced outcome, for every step bound.
 """
 
 import itertools
@@ -12,8 +13,8 @@ from dataclasses import replace
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cyclogic import fixtures, turing
-from cyclogic.turing import Transition, make_machine
+from cyclogic import fixtures, harness, turing
+from cyclogic.turing import RunOutcome, Transition, make_machine
 from oracles import brute_force_accepts, reference_run, reference_search
 
 MAX_T = 7
@@ -91,6 +92,37 @@ def test_run_matches_reference(case):
     assert_run_matches(*case)
 
 
+def assert_acceptor_matches(m, word):
+    accepts = turing.right_moving_acceptor(m)
+    assert accepts is not None
+    for t in range(MAX_T + 1):
+        assert accepts(word, t) == turing.accepts_within(m, word, t, want_trace=False), t
+
+
+def right_moving(m):
+    """``m`` with every move of every transition turned right."""
+    return replace(m, transitions={
+        key: tuple(replace(tr, moves=("R",) * len(tr.moves)) for tr in targets)
+        for key, targets in m.transitions.items()
+    })
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines(deterministic=True))
+def test_right_moving_acceptor_matches_the_search(case):
+    m, word = case
+    assert_acceptor_matches(right_moving(m), word)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines())
+def test_acceptor_only_for_deterministic_right_moving_machines(case):
+    m, _ = case
+    moves = {mv for targets in m.transitions.values() for tr in targets for mv in tr.moves}
+    fast = turing.is_deterministic(m) and moves <= {"R"}
+    assert (turing.right_moving_acceptor(m) is not None) == fast
+
+
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(machines())
 def test_exact_under_colliding_digests(case):
@@ -133,6 +165,43 @@ REWRITING_LOOP = one_tape({
 })
 
 
+#: Deterministic, but its left move brings back the start configuration
+#: after two steps: the search stops at the repeat, a run goes round.
+BOUNCE = one_tape({
+    ("q0", "a"): [("q1", "a", "R")],
+    ("q1", "a"): [("q0", "a", "L")],
+})
+
+
+def test_a_left_move_keeps_the_search():
+    assert turing.right_moving_acceptor(BOUNCE) is None
+    assert turing.accepts_within(BOUNCE, "aa", 5, want_trace=False) == RunOutcome("dead-end", 1, 2)
+    assert turing.run_deterministic(BOUNCE, "aa", 5) == RunOutcome("bound-exceeded", 5, 2)
+
+
+def test_rejecting_at_the_bound_is_bound_exceeded():
+    """The search skips the reject state, so a rejection on step t reads as
+    the bound reached, and one before step t as a dead end."""
+    wide, _ = harness.build_machine_pair("digit-sum-parity", 2, 4)
+    accepts = turing.right_moving_acceptor(wide)
+    word = ("1", "0")
+    assert turing.run_deterministic(wide, word, 3) == RunOutcome("rejected", 3, 4)
+    for t, verdict in ((3, "bound-exceeded"), (4, "dead-end")):
+        assert accepts(word, t) == RunOutcome(verdict, 3, 4), t
+        assert accepts(word, t) == turing.accepts_within(wide, word, t, want_trace=False), t
+
+
+def test_acceptor_refuses_what_the_search_refuses():
+    m = fixtures.even_a_machine()
+    accepts = turing.right_moving_acceptor(m)
+    for word, t in (("aa", -1), ("aa", True), ("aa", 2.0), ("ab", 3)):
+        with pytest.raises(ValueError) as fast:
+            accepts(word, t)
+        with pytest.raises(ValueError) as search:
+            turing.accepts_within(m, word, t, want_trace=False)
+        assert str(fast.value) == str(search.value), (word, t)
+
+
 @pytest.mark.parametrize("colliding", [False, True])
 @pytest.mark.parametrize("m, word, verdict", [
     (SIBLINGS, "a", "accepted"),
@@ -153,3 +222,5 @@ def test_fixture_suite_matches_reference():
                 assert_search_matches(m, tuple(word))
                 if turing.is_deterministic(m):
                     assert_run_matches(m, tuple(word))
+                if turing.right_moving_acceptor(m) is not None:
+                    assert_acceptor_matches(m, tuple(word))
