@@ -26,11 +26,15 @@ deduplication, so an accepting outcome always carries a minimal-length
 witness path.  The space-bounded variant additionally prunes every
 configuration whose head positions exceed the bound.  For a deterministic
 machine that moves every head right on every step, the search follows one
-path that never revisits a configuration; ``right_moving_acceptor`` gives
-the same outcomes by running that path, without search bookkeeping.
+path that never revisits a configuration, and no head reads back a square
+it wrote: the machine is a finite automaton over its input followed by
+blanks.  ``right_moving_acceptor`` gives the search's outcomes by walking
+that automaton, one next-state table lookup per input symbol or blank,
+with no tapes, heads or search bookkeeping.
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
-steps on one mutable list per tape.  The search stores each visited
+steps on one mutable list per tape, and writes each of them every step,
+since its heads may come back.  The search stores each visited
 configuration as a node: its parent's id, the symbols its step wrote at
 the parent's head positions and the symbols they replaced, its state and
 its heads; it keeps no tape.
@@ -342,12 +346,6 @@ def run_deterministic(
     _check_bound("step", max_steps, 0)
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
-    return _run(m, w, max_steps, want_trace)
-
-
-def _run(m: TuringMachine, w: Word, max_steps: int, want_trace: bool) -> RunOutcome:
-    """The step loop of ``run_deterministic``, on a machine known to be
-    deterministic and a checked bound."""
     start = initial_id(m, w)
     table, blank = m.transitions, m.blank
     state, heads = start.state, start.heads
@@ -387,27 +385,51 @@ def _run(m: TuringMachine, w: Word, max_steps: int, want_trace: bool) -> RunOutc
 def right_moving_acceptor(m: TuringMachine) -> Callable[[Word, int], RunOutcome] | None:
     """For a deterministic machine whose every transition moves every head
     right, a function (w, t) -> ``accepts_within(m, w, t, want_trace=False)``
-    that runs the one computation instead of searching; None for any other
-    machine.  Decide once per machine: the check walks the whole table.
+    that walks the machine as a finite automaton instead of searching; None
+    for any other machine.  Decide once per machine: the check walks the
+    whole table and compiles it into a next-state table keyed on
+    (state, tape-1 symbol).
 
     Every head moves right on every step, so no configuration repeats and
     none is killed at the left end or pruned by the step bound: the search's
-    one path is the run.  Only a rejection reads differently: the search
-    skips the reject state, so it reports bound-exceeded when the rejecting
-    step is step t and dead-end before.
+    one path is the walk.  No head reads back a square it wrote: the tape-1
+    head scans the input, then blanks, and every other head scans the blank
+    just past what it wrote, so only rows keyed on blanks there can fire,
+    and step k leaves every head on square k + 1.  The search skips the
+    reject state, so a rejection on step t reads as bound-exceeded and one
+    before as dead-end.
     """
-    if not is_deterministic(m) or any(
-        mv != "R" for targets in m.transitions.values() for tr in targets for mv in tr.moves
-    ):
+    if not is_deterministic(m):
         return None
+    right = ("R",) * m.tapes
+    idle = (m.blank,) * (m.tapes - 1)
+    table = {}
+    for (state, scanned), (tr,) in m.transitions.items():
+        if tr.moves != right:
+            return None
+        if len(scanned) == m.tapes and scanned[1:] == idle:
+            table[state, scanned[0]] = tr.next_state
+    blank, accept, reject = m.blank, m.accept, m.reject
 
     def accepts(w: Word, t: int) -> RunOutcome:
         _check_bound("step", t, 0)
-        outcome = _run(m, w, t, False)
-        if outcome.verdict != VERDICT_REJECTED:
-            return outcome
-        verdict = VERDICT_BOUND_EXCEEDED if outcome.steps_used == t else VERDICT_DEAD_END
-        return RunOutcome(verdict, outcome.steps_used, outcome.max_head_position)
+        word = initial_id(m, w).tapes[0]  # refuses a foreign symbol as the search does
+        state = m.initial
+        steps = 0
+        for symbol in itertools.islice(itertools.chain(word, itertools.repeat(blank)), t):
+            if state == accept or state == reject:
+                break
+            state = table.get((state, symbol))
+            if state is None:
+                return RunOutcome(VERDICT_DEAD_END, steps, steps + 1)
+            steps += 1
+        if state == accept:
+            verdict = VERDICT_ACCEPTED
+        elif steps == t:
+            verdict = VERDICT_BOUND_EXCEEDED
+        else:
+            verdict = VERDICT_DEAD_END
+        return RunOutcome(verdict, steps, steps + 1)
 
     return accepts
 

@@ -309,10 +309,13 @@ class TestEngineChoice:
 
     @pytest.mark.parametrize("family, base_rule", CASES)
     def test_rows_equal_the_searched_rows(self, family, base_rule, monkeypatch):
-        lengths = (1, 2, 3) if base_rule == "square" else (1, 2, 3, 6)
+        # the experiment workload draws fixed-base lengths up to 64
+        lengths = (1, 2, 3) if base_rule == "square" else (1, 2, 3, 6, 64)
         caps = {*range(1, 7), *(l + k for l in lengths for k in (1, 2)), 1024}
         if base_rule == "square":  # around the binary twins' l**3 + 1 steps
             caps |= {l**3 + k for l in lengths for k in (0, 1, 2)}
+        else:  # around l digit fields of the binary twins, then the blank
+            caps |= {l * (base_rule - 1).bit_length() + k for l in lengths for k in (0, 1, 2)}
         for cap in sorted(caps):
             spec = harness.ExperimentSpec(lengths=lengths, base_rule=base_rule, words_per_length=4,
                                           seed=cap, machine_family=family, step_cap=cap)

@@ -4,7 +4,8 @@ Random small machines (1-2 tapes, deterministic and nondeterministic, with
 loops, left moves from square 1 and writes that grow the tape) must give
 exactly the reference outcome, witness path included, for every step and
 space bound.  The right-moving fast path must give exactly the search's
-untraced outcome, for every step bound.
+untraced outcome, for every step bound, and on the edge cases of its
+finite-automaton walk.
 """
 
 import itertools
@@ -200,6 +201,62 @@ def test_acceptor_refuses_what_the_search_refuses():
         with pytest.raises(ValueError) as search:
             turing.accepts_within(m, word, t, want_trace=False)
         assert str(fast.value) == str(search.value), (word, t)
+
+
+#: Deterministic and right-moving: reads its a's, then steps between q0
+#: and q1 on the blanks forever.
+BLANK_LOOP = one_tape({
+    ("q0", "a"): [("q0", "a", "R")],
+    ("q0", "_"): [("q1", "x", "R")],
+    ("q1", "_"): [("q0", "x", "R")],
+})
+
+#: 2-tape and right-moving.  Its second head always scans the blank just
+#: past the mark it wrote, so the (q1; a,x) row never fires: on "aa" no row
+#: applies to the second step, and on "a" the second step rejects.
+SECOND_TAPE_KEYED = make_machine(
+    states=["q0", "q1", "qA", "qR"],
+    tape_alphabet=["a", "x", "_"],
+    blank="_",
+    input_alphabet=["a"],
+    transitions={
+        ("q0", ("a", "_")): [Transition("q1", ("a", "x"), ("R", "R"))],
+        ("q1", ("_", "_")): [Transition("qR", ("x", "x"), ("R", "R"))],
+        ("q1", ("a", "x")): [Transition("qA", ("a", "x"), ("R", "R"))],
+    },
+    initial="q0",
+    accept="qA",
+    reject="qR",
+    tapes=2,
+)
+
+
+@pytest.mark.parametrize("m, word, t, want", [
+    (turing.scanner("qA", "a", {}, {}), "aa", 0, RunOutcome("accepted", 0, 1)),
+    (turing.scanner("qA", "a", {}, {}), "aa", 3, RunOutcome("accepted", 0, 1)),
+    (turing.scanner("qR", "a", {}, {}), "aa", 0, RunOutcome("bound-exceeded", 0, 1)),
+    (turing.scanner("qR", "a", {}, {}), "aa", 3, RunOutcome("dead-end", 0, 1)),
+    (fixtures.even_a_machine(), "", 0, RunOutcome("bound-exceeded", 0, 1)),
+    (fixtures.even_a_machine(), "", 1, RunOutcome("accepted", 1, 2)),
+    (turing.scanner("q0", "a", {}, {}), "", 0, RunOutcome("bound-exceeded", 0, 1)),
+    (turing.scanner("q0", "a", {}, {}), "a", 3, RunOutcome("dead-end", 0, 1)),
+    (SECOND_TAPE_KEYED, "aa", 3, RunOutcome("dead-end", 1, 2)),
+    (SECOND_TAPE_KEYED, "a", 2, RunOutcome("bound-exceeded", 2, 3)),
+    (SECOND_TAPE_KEYED, "a", 3, RunOutcome("dead-end", 2, 3)),
+    (BLANK_LOOP, "aa", 1023, RunOutcome("bound-exceeded", 1023, 1024)),
+    (BLANK_LOOP, "aa", 1024, RunOutcome("bound-exceeded", 1024, 1025)),
+    (BLANK_LOOP, "", 1024, RunOutcome("bound-exceeded", 1024, 1025)),
+], ids=[
+    "initial-accept-t0", "initial-accept-t3", "initial-reject-t0", "initial-reject-t3",
+    "empty-word-t0", "empty-word-t1", "empty-table-t0", "empty-table-t3",
+    "second-tape-keyed-dies", "second-tape-keyed-rejects-at-t", "second-tape-keyed-rejects",
+    "blank-loop-t1023", "blank-loop-t1024", "blank-loop-empty-word",
+])
+def test_walk_edge_cases(m, word, t, want):
+    accepts = turing.right_moving_acceptor(m)
+    assert accepts is not None
+    assert accepts(tuple(word), t) == want
+    assert turing.accepts_within(m, tuple(word), t, want_trace=False) == want
 
 
 @pytest.mark.parametrize("colliding", [False, True])
