@@ -15,10 +15,13 @@ writes and raises ValueError for any other document (``harness._inverts``).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
+import os
+import stat
 import sys
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from . import harness, logic, radix
 from .machinefile import MachineFileError, parse_machine_file
@@ -243,21 +246,74 @@ def cmd_enumerate(args) -> int:
         else:
             flat = itertools.chain.from_iterable if args.kind == "binary" else iter
             lines = (_enumeration_line(flat(idx), flat(outs)) for idx, outs in rows)
-    sink = sys.stdout if args.output is None else _open_output(args.output)
-    try:
+    out = contextlib.nullcontext(sys.stdout) if args.output is None else _open_output(args.output)
+    with out as sink:
         for line in lines:
             print(line, file=sink)
-    finally:
-        if sink is not sys.stdout:
-            sink.close()
     return 0
 
 
-def _open_output(path: str, newline: str | None = None) -> IO[str]:
+@contextlib.contextmanager
+def _open_output(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """A file for the block to write to ``path``.
+
+    Where a file renamed over ``path`` would differ from it in nothing but
+    its bytes (``_replaceable``), the block writes beside ``path`` under a
+    temporary name, renamed over it only when the block succeeds; a
+    failure, an interrupt included, removes it and leaves ``path`` as it
+    was.  The renamed file keeps the old one's mode, and a symbolic link is
+    written through.  Anything else -- a device such as /dev/null, a pipe, a
+    file with other links or owners, a directory, or a file whose directory
+    takes no new file -- is opened in place as it stands, so a directory is
+    refused before the block runs.
+    """
+    target = os.path.realpath(path)
+    temporary = None
+    if _replaceable(target):
+        directory, name = os.path.split(target)
+        temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+        try:
+            sink = open(temporary, "x", encoding="utf-8", newline=newline)
+        except OSError:  # no new file there: written in place
+            temporary = None
+    if temporary is None:
+        try:
+            sink = open(path, "w", encoding="utf-8", newline=newline)
+        except OSError as exc:
+            raise _unwritable(path, exc) from None
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
-    except OSError as exc:
-        raise UsageError(f"cannot write output file: {exc}") from None
+        with sink:
+            yield sink
+        if temporary is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(temporary, stat.S_IMODE(os.stat(target).st_mode))
+            os.replace(temporary, target)
+    except BaseException as exc:
+        if temporary is not None:
+            os.remove(temporary)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from None
+        raise
+
+
+def _replaceable(target: str) -> bool:
+    """Whether a new file renamed over ``target`` would differ from it in
+    nothing but its bytes: ``target`` is missing, or is a regular file with
+    one link whose owner and group are this process's."""
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        return True
+    except OSError:
+        return False
+    return (stat.S_ISREG(st.st_mode) and st.st_nlink == 1
+            and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid()))
+
+
+def _unwritable(path: str, exc: OSError) -> UsageError:
+    """The usage error for an output file that cannot be written, naming
+    ``path`` rather than the temporary file."""
+    return UsageError(f"cannot write output file: {OSError(exc.errno, exc.strerror, path)}")
 
 
 def _enumeration_line(index: Iterable[int], outputs: Iterable[int]) -> str:
@@ -362,11 +418,10 @@ def cmd_experiment(args) -> int:
     except (json.JSONDecodeError, ValueError) as exc:
         raise UsageError(f"bad experiment spec: {exc}")
     report = harness.run_experiment(spec)
-    if args.output is not None:
-        with _open_output(args.output, newline="") as fh:
-            harness.emit_report(report, args.format, fh)
-    else:
-        harness.emit_report(report, args.format, sys.stdout)
+    out = (contextlib.nullcontext(sys.stdout) if args.output is None
+           else _open_output(args.output, newline=""))
+    with out as sink:
+        harness.emit_report(report, args.format, sink)
     print(harness.summary_line(report))
     return 0
 
@@ -454,4 +509,8 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except KeyboardInterrupt:  # 128 + SIGINT, as a shell reports it; no traceback
+        code = 130
+    sys.exit(code)

@@ -24,13 +24,20 @@ unvisited square.
 Bounded acceptance searches the step graph breadth-first with visited-set
 deduplication, so an accepting outcome always carries a minimal-length
 witness path.  The space-bounded variant additionally prunes every
-configuration whose head positions exceed the bound.  For a deterministic
-machine that moves every head right on every step, the search follows one
-path that never revisits a configuration, and no head reads back a square
-it wrote: the machine is a finite automaton over its input followed by
-blanks.  ``right_moving_acceptor`` gives the search's outcomes by walking
-that automaton, one next-state table lookup per input symbol or blank,
-with no tapes, heads or search bookkeeping.
+configuration whose head positions exceed the bound.  While every
+transition that fires moves every head right, no configuration repeats
+and no head reads back a square it wrote: the machine is a finite
+automaton over its input followed by blanks.  So the untraced search and
+the untraced run first walk it (``_walk``): they step the set of states
+reachable at each depth, one table lookup per state and input symbol or
+blank, with no tapes, heads or search bookkeeping.  At the first
+transition that fires with another move, the run goes on stepping from
+the tapes the walk wrote (``_walked``), and so does the search where the
+walk followed one path and no configuration before can recur; any other
+search starts over.  For a deterministic machine that moves every head
+right on every transition, ``right_moving_acceptor`` compiles that walk
+once into a next-state table, for callers that decide many words on one
+machine.
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
 steps on one mutable list per tape, and writes each of them every step,
@@ -341,16 +348,26 @@ def run_deterministic(
     """Iterate the unique step of a deterministic machine from the input.
 
     Verdicts: accepted/rejected on reaching a final state, dead-end when no
-    transition applies, bound-exceeded after max_steps steps.
+    transition applies, bound-exceeded after max_steps steps.  Without a
+    trace the run walks the machine as a finite automaton (``_walk``) while
+    every step moves every head right, and steps on tapes only from the
+    first step that moves a head left, on the tapes the walk wrote.
     """
     _check_bound("step", max_steps, 0)
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
     start = initial_id(m, w)
-    table, blank = m.transitions, m.blank
     state, heads = start.state, start.heads
     tapes = [list(tape) for tape in start.tapes]
     steps = 0
+    if not want_trace:
+        walked = _walk(m, start.tapes[0], max_steps, space=None, run=True)
+        if isinstance(walked, RunOutcome):
+            return walked
+        steps = walked
+        state, tapes = _walked(m, start.tapes[0], steps)  # one path: m is deterministic
+        heads = (steps + 1,) * m.tapes
+    table, blank = m.transitions, m.blank
     max_head = max(heads)
     trace = [start] if want_trace else None
     while True:
@@ -380,6 +397,75 @@ def run_deterministic(
         if trace is not None:
             trace.append(InstantaneousDescription(state, tuple(map(tuple, tapes)), heads))
     return RunOutcome(verdict, steps, max_head, tuple(trace) if trace is not None else None)
+
+
+def _walk(
+    m: TuringMachine, word: tuple[str, ...], t: int, space: int | None, run: bool
+) -> RunOutcome | int:
+    """The untraced outcome of the search (``run`` false) or of the run
+    (``run`` true) while every fired transition moves every head right; as
+    soon as one does not, the depth it fires at, for the caller to go on
+    from (``_walked``).
+
+    Until then step d leaves every head on square d + 1, and no head reads
+    back a square it wrote: tape 1 scans the input, then blanks, and every
+    other tape scans the blank just past what it wrote.  So every
+    configuration at depth d scans the same symbols, and the set of their
+    states, kept in order of discovery, decides the verdict.  The search
+    skips the reject state, so a rejection on step t reads as the bound
+    reached and one before as a dead end; the run reports it first.  Every
+    step goes one square further right, so a space bound s allows s - 1
+    steps.
+    """
+    table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
+    right = ("R",) * m.tapes
+    idle = (blank,) * (m.tapes - 1)
+    states: dict[str, None] = {m.initial: None}
+    steps = 0
+    while True:
+        if accept in states:
+            verdict = VERDICT_ACCEPTED
+        elif run and reject in states:
+            verdict = VERDICT_REJECTED
+        elif steps == t:
+            verdict = VERDICT_BOUND_EXCEEDED
+        else:
+            scanned = (word[steps] if steps < len(word) else blank,) + idle
+            reached: dict[str, None] = {}
+            for state in states:
+                if state != reject:
+                    for tr in table.get((state, scanned), ()):
+                        if tr.moves != right:
+                            return steps
+                        reached[tr.next_state] = None
+            if reached and steps + 1 != space:
+                states = reached
+                steps += 1
+                continue
+            verdict = VERDICT_DEAD_END
+        return RunOutcome(verdict, steps, steps + 1)
+
+
+def _walked(
+    m: TuringMachine, word: tuple[str, ...], steps: int
+) -> tuple[str, list[list[str]]] | None:
+    """The state and tapes after the first ``steps`` steps of the walk, if
+    each of them fired one transition; None if one fired more.  Step d
+    wrote square d + 1 of every tape, and tape 1 keeps the rest of the
+    input."""
+    table, blank = m.transitions, m.blank
+    idle = (blank,) * (m.tapes - 1)
+    state = m.initial
+    writes = []
+    for d in range(steps):
+        targets = table[state, (word[d] if d < len(word) else blank,) + idle]
+        if len(targets) > 1:
+            return None
+        writes.append(targets[0].writes)
+        state = targets[0].next_state
+    tapes = [[symbols[j] for symbols in writes] for j in range(m.tapes)]
+    tapes[0] += word[steps:]
+    return state, tapes
 
 
 def right_moving_acceptor(m: TuringMachine) -> Callable[[Word, int], RunOutcome] | None:
@@ -443,6 +529,12 @@ def accepts_within(
     On acceptance the trace is one minimal-length witness path.  Otherwise
     the verdict is dead-end if the whole step graph was exhausted before
     the bound, or bound-exceeded if unexplored configurations remained.
+    Without a trace the search walks the set of reachable states as a
+    finite automaton (``_walk``) while every transition that fires moves
+    every head right.  If one moves a head left, the search goes on from
+    the walk's configuration when the walk followed one path and its
+    configurations cannot recur (two tapes, or a walk past the input), and
+    searches the step graph from the start otherwise.
     """
     return _bounded_search(m, w, t, space=None, want_trace=want_trace)
 
@@ -451,7 +543,9 @@ def accepts_within_space(
     m: TuringMachine, w: Word, t: int, s: int, want_trace: bool = True
 ) -> RunOutcome:
     """As accepts_within, but every configuration on the path (initial and
-    accepting ones included) must keep all heads at positions <= s."""
+    accepting ones included) must keep all heads at positions <= s.  The
+    untraced walk of right-moving steps therefore stops after s - 1 steps,
+    as a dead end."""
     _check_bound("space", s, 1)
     return _bounded_search(m, w, t, space=s, want_trace=want_trace)
 
@@ -472,13 +566,31 @@ def _bounded_search(
 ) -> RunOutcome:
     _check_bound("step", t, 0)
     start = initial_id(m, w)
+    depth = 0
+    if not want_trace:
+        walked = _walk(m, start.tapes[0], t, space, run=False)
+        if isinstance(walked, RunOutcome):
+            return walked
+        # Go on from the walk's configuration at depth d if the walk fired
+        # one transition per step and none of its configurations, which the
+        # visited set lacks, can recur.  None can when every later tape is
+        # longer than at any depth j < d: every later step writes square
+        # d + 1, and tape 2 is j long at depth j, tape 1 max(n, j) for an
+        # input of length n <= d.
+        word = start.tapes[0]
+        walked_to = _walked(m, word, walked) if m.tapes > 1 or walked >= len(word) else None
+        if walked_to is not None:
+            state, tapes = walked_to
+            depth = walked
+            start = InstantaneousDescription(
+                state, tuple(map(tuple, tapes)), (depth + 1,) * m.tapes)
     max_head = max(start.heads)
     if space is not None and max_head > space:
         return RunOutcome(VERDICT_DEAD_END, 0, max_head)
     if start.state == m.accept:
         return RunOutcome(VERDICT_ACCEPTED, 0, max_head, (start,) if want_trace else None)
-    if t == 0:
-        return RunOutcome(VERDICT_BOUND_EXCEEDED, 0, max_head)
+    if depth == t:
+        return RunOutcome(VERDICT_BOUND_EXCEEDED, t, max_head)
 
     table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
     # No head gets past square t + 1 within t steps, so t + 1 never prunes.
@@ -492,7 +604,6 @@ def _bounded_search(
     # digest).  A member's own writes are not yet applied to those tapes.
     frontier = [([list(tape) for tape in start.tapes],
                  [(0, start.state, start.heads, lengths, 0)])]
-    depth = 0
     while True:
         expanded = []
         accepted = -1

@@ -2,6 +2,9 @@
 
 import itertools
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -566,6 +569,121 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, spec_file, argv, t
     assert captured.out == ""
     assert captured.err.startswith("usage error: cannot write output file: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("failure, raised, code", [
+    (RuntimeError("writer failed"), RuntimeError, None),
+    (KeyboardInterrupt(), KeyboardInterrupt, None),
+    (OSError(28, "No space left on device"), None, 2),
+], ids=["error", "interrupt", "disk-full"])
+@pytest.mark.parametrize("command", ["enumerate", "experiment"])
+def test_failed_write_keeps_the_old_file(capsys, monkeypatch, tmp_path, spec_file,
+                                         command, failure, raised, code):
+    """A command that fails while writing ``--output`` leaves the old file's
+    bytes and no temporary file behind."""
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    path = out_dir / "report"
+    path.write_bytes(b"old bytes\r\n")
+    if command == "enumerate":
+        argv = ["enumerate", "--n", "2", "--kind", "unary"]
+        calls = itertools.count()
+
+        def line(*_):  # the first line is written, the second fails
+            if next(calls):
+                raise failure
+            return "0,0\t0,1"
+        monkeypatch.setattr(cli, "_enumeration_line", line)
+    else:
+        argv = ["experiment", spec_file]
+
+        def report(_report, _fmt, sink):  # part of a report, then the failure
+            print("partial", file=sink)
+            raise failure
+        monkeypatch.setattr(harness, "emit_report", report)
+    argv += ["--output", str(path)]
+    if raised is None:
+        assert main(argv) == code
+        assert capsys.readouterr().err == (
+            f"usage error: cannot write output file: [Errno 28] No space left on device: "
+            f"{str(path)!r}\n")
+    else:
+        with pytest.raises(raised):
+            main(argv)
+    assert path.read_bytes() == b"old bytes\r\n"
+    assert list(out_dir.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--n", "3", "--kind", "unary"],
+    ["enumerate", "--n", "2", "--kind", "binary", "--json"],
+    ["experiment", "SPEC", "--format", "csv"],
+    ["experiment", "SPEC", "--format", "json"],
+])
+def test_output_file_replaces_the_old_one_with_the_stdout_bytes(capsys, tmp_path, spec_file,
+                                                                 argv):
+    """``--output`` writes what stdout gets (less the experiment's summary
+    line) over a longer old file, through a symbolic link, keeping the mode."""
+    argv = [spec_file if a == "SPEC" else a for a in argv]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    if argv[0] == "experiment":
+        stdout = stdout[: stdout.rstrip("\n").rindex("\n") + 1]
+    real = tmp_path / "real"
+    real.write_bytes(b"x" * (len(stdout) + 100))
+    real.chmod(0o640)
+    link = tmp_path / "link"
+    link.symlink_to(real)
+    assert main(argv + ["--output", str(link)]) == 0
+    assert link.is_symlink()
+    assert real.read_bytes() == stdout.encode()
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+
+
+def test_output_to_a_pipe_or_a_linked_file_is_written_in_place(capsys, tmp_path):
+    """A target that renaming would replace by another kind of file -- a
+    pipe, a file with a second hard link -- is written where it stands, and
+    no temporary file is made beside it."""
+    argv = ["enumerate", "--n", "2", "--kind", "unary"]
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out.encode()
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(argv + ["--output", str(fifo)]) == 0
+    reader.join(10)
+    assert read == [stdout]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    linked = tmp_path / "linked"
+    linked.write_bytes(b"old bytes\n")
+    (tmp_path / "other-name").hardlink_to(linked)
+    assert main(argv + ["--output", str(linked)]) == 0
+    assert (tmp_path / "other-name").read_bytes() == stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "linked", "other-name"]
+
+
+def test_a_directory_target_is_refused_before_any_line(capsys, monkeypatch, tmp_path):
+    lines = []
+    monkeypatch.setattr(cli, "_enumeration_line", lambda *_: lines.append(1) or "0\t0")
+    argv = ["enumerate", "--n", "2", "--kind", "unary", "--output", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"usage error: cannot write output file: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+    assert lines == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
+    def interrupted(argv=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "main", interrupted)
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 130
+    assert capsys.readouterr() == ("", "")
 
 
 class TestParser:

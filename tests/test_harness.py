@@ -322,6 +322,8 @@ class TestEngineChoice:
             report = harness.run_experiment(spec)
             with monkeypatch.context() as mp:
                 mp.setattr(harness, "right_moving_acceptor", lambda m: None)
+                # a walk that hands over at once: the search from step 0
+                mp.setattr(turing, "_walk", lambda *args, **kwargs: 0)
                 searched = harness.run_experiment(spec)
             assert report == searched, cap
             assert emitted(report) == emitted(searched), cap

@@ -1,12 +1,13 @@
 """Step semantics, bounded runs, and the search-vs-enumeration oracle."""
 
 import itertools
+from dataclasses import replace
 
 import pytest
 
 from cyclogic import fixtures, turing
 from cyclogic.turing import Transition, make_machine
-from oracles import brute_force_accepts, step_rule_violations
+from oracles import brute_force_accepts, reference_run, reference_search, step_rule_violations
 
 
 def total_machine():
@@ -325,6 +326,8 @@ class TestBoundedAcceptance:
                     bfs = turing.accepts_within(m, w, t, want_trace=False)
                     det = turing.run_deterministic(m, w, t)
                     assert (bfs.verdict == "accepted") == (det.verdict == "accepted")
+                    assert bfs == replace(reference_search(m, w, t), trace=None)
+                    assert det == replace(reference_run(m, w, t), trace=None)
 
     def test_monotone_in_bound(self):
         for name, m in fixtures.fixture_suite().items():

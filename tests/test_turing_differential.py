@@ -3,9 +3,10 @@
 Random small machines (1-2 tapes, deterministic and nondeterministic, with
 loops, left moves from square 1 and writes that grow the tape) must give
 exactly the reference outcome, witness path included, for every step and
-space bound.  The right-moving fast path must give exactly the search's
-untraced outcome, for every step bound, and on the edge cases of its
-finite-automaton walk.
+space bound.  The untraced search and run walk right-moving steps as a
+finite automaton, and so does ``right_moving_acceptor``: every walk must
+give exactly the reference's outcome without its trace, for every step and
+space bound, and on the edge cases of the walk.
 """
 
 import itertools
@@ -72,6 +73,8 @@ def assert_search_matches(m, word):
         for s in range(1, MAX_SPACE + 1):
             want = reference_search(m, word, t, space=s)
             assert turing.accepts_within_space(m, word, t, s) == want, (t, s)
+            untraced = turing.accepts_within_space(m, word, t, s, want_trace=False)
+            assert untraced == replace(want, trace=None), (t, s)
 
 
 def assert_run_matches(m, word):
@@ -94,10 +97,33 @@ def test_run_matches_reference(case):
 
 
 def assert_acceptor_matches(m, word):
+    """The compiled walk against the reference and the traced search, which
+    walks nothing, both without their traces."""
     accepts = turing.right_moving_acceptor(m)
     assert accepts is not None
     for t in range(MAX_T + 1):
-        assert accepts(word, t) == turing.accepts_within(m, word, t, want_trace=False), t
+        want = replace(reference_search(m, word, t), trace=None)
+        assert accepts(word, t) == want, t
+        assert replace(turing.accepts_within(m, word, t), trace=None) == want, t
+
+
+def assert_walk_matches(m, word):
+    """For a machine whose every move is right: the untraced search, space-
+    bounded search and run are decided by the walk alone, and equal the
+    reference without its trace."""
+    deterministic = turing.is_deterministic(m)
+    for t in range(MAX_T + 1):
+        want = replace(reference_search(m, word, t), trace=None)
+        assert turing._walk(m, word, t, None, run=False) == want, t
+        assert turing.accepts_within(m, word, t, want_trace=False) == want, t
+        for s in range(1, MAX_SPACE + 1):
+            want = replace(reference_search(m, word, t, space=s), trace=None)
+            assert turing._walk(m, word, t, s, run=False) == want, (t, s)
+            assert turing.accepts_within_space(m, word, t, s, want_trace=False) == want, (t, s)
+        if deterministic:
+            want = replace(reference_run(m, word, t), trace=None)
+            assert turing._walk(m, word, t, None, run=True) == want, t
+            assert turing.run_deterministic(m, word, t) == want, t
 
 
 def right_moving(m):
@@ -106,6 +132,13 @@ def right_moving(m):
         key: tuple(replace(tr, moves=("R",) * len(tr.moves)) for tr in targets)
         for key, targets in m.transitions.items()
     })
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines())
+def test_right_moving_walk_matches_reference(case):
+    m, word = case
+    assert_walk_matches(right_moving(m), word)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -174,6 +207,25 @@ BOUNCE = one_tape({
 })
 
 
+#: Two tapes: copies its first a to tape 2, then turns both heads left
+#: and accepts on reading the a's back.
+SECOND_TAPE_LEFT = make_machine(
+    states=["q0", "q1", "qA", "qR"],
+    tape_alphabet=["a", "_"],
+    blank="_",
+    input_alphabet=["a"],
+    transitions={
+        ("q0", ("a", "_")): [Transition("q1", ("a", "a"), ("R", "R"))],
+        ("q1", ("a", "_")): [Transition("q1", ("a", "a"), ("L", "L"))],
+        ("q1", ("a", "a")): [Transition("qA", ("a", "a"), ("R", "R"))],
+    },
+    initial="q0",
+    accept="qA",
+    reject="qR",
+    tapes=2,
+)
+
+
 def test_a_left_move_keeps_the_search():
     assert turing.right_moving_acceptor(BOUNCE) is None
     assert turing.accepts_within(BOUNCE, "aa", 5, want_trace=False) == RunOutcome("dead-end", 1, 2)
@@ -189,7 +241,7 @@ def test_rejecting_at_the_bound_is_bound_exceeded():
     assert turing.run_deterministic(wide, word, 3) == RunOutcome("rejected", 3, 4)
     for t, verdict in ((3, "bound-exceeded"), (4, "dead-end")):
         assert accepts(word, t) == RunOutcome(verdict, 3, 4), t
-        assert accepts(word, t) == turing.accepts_within(wide, word, t, want_trace=False), t
+        assert accepts(word, t) == replace(reference_search(wide, word, t), trace=None), t
 
 
 def test_acceptor_refuses_what_the_search_refuses():
@@ -257,6 +309,150 @@ def test_walk_edge_cases(m, word, t, want):
     assert accepts is not None
     assert accepts(tuple(word), t) == want
     assert turing.accepts_within(m, tuple(word), t, want_trace=False) == want
+    assert replace(reference_search(m, tuple(word), t), trace=None) == want
+
+
+#: Walks right over its a's, turns left on the first blank and accepts on
+#: the last a: every step but the last two moves right.
+RIGHT_THEN_LEFT = one_tape({
+    ("q0", "a"): [("q0", "a", "R")],
+    ("q0", "_"): [("q1", "x", "L")],
+    ("q1", "a"): [("qA", "a", "R")],
+})
+
+#: Branches into both final states on its first step.
+BOTH_FINALS = turing.scanner("q0", "a", {"q0": {"a": ("qR", "qA")}}, {})
+
+
+def untraced(m, word, mode, t, s):
+    if mode == "run":
+        return turing.run_deterministic(m, word, t)
+    if mode == "accept":
+        return turing.accepts_within(m, word, t, want_trace=False)
+    return turing.accepts_within_space(m, word, t, s, want_trace=False)
+
+
+@pytest.mark.parametrize("m, word, mode, t, s, want", [
+    (fixtures.even_a_machine(), "a", "run", 2, None, RunOutcome("rejected", 2, 3)),
+    (fixtures.even_a_machine(), "a", "accept", 2, None, RunOutcome("bound-exceeded", 2, 3)),
+    (fixtures.even_a_machine(), "a", "accept", 3, None, RunOutcome("dead-end", 2, 3)),
+    (fixtures.even_a_machine(), "a", "space", 3, 2, RunOutcome("dead-end", 1, 2)),
+    (fixtures.walk_right_machine(3), "aaa", "space", 9, 4, RunOutcome("accepted", 3, 4)),
+    (fixtures.walk_right_machine(3), "aaa", "space", 9, 3, RunOutcome("dead-end", 2, 3)),
+    (fixtures.walk_right_machine(3), "aaa", "space", 2, 3, RunOutcome("bound-exceeded", 2, 3)),
+    (fixtures.walk_right_machine(3), "aaa", "space", 9, 1, RunOutcome("dead-end", 0, 1)),
+    (RIGHT_THEN_LEFT, "aaa", "run", 9, None, RunOutcome("accepted", 5, 4)),
+    (RIGHT_THEN_LEFT, "aaa", "accept", 9, None, RunOutcome("accepted", 5, 4)),
+    (RIGHT_THEN_LEFT, "aaa", "space", 9, 4, RunOutcome("accepted", 5, 4)),
+    (RIGHT_THEN_LEFT, "aaa", "accept", 3, None, RunOutcome("bound-exceeded", 3, 4)),
+    (BOTH_FINALS, "a", "accept", 1, None, RunOutcome("accepted", 1, 2)),
+    (BOTH_FINALS, "a", "space", 1, 1, RunOutcome("dead-end", 0, 1)),
+    (BOTH_FINALS, "a", "space", 1, 2, RunOutcome("accepted", 1, 2)),
+    (BOTH_FINALS, "a", "accept", 0, None, RunOutcome("bound-exceeded", 0, 1)),
+    (SECOND_TAPE_KEYED, "a", "run", 9, None, RunOutcome("rejected", 2, 3)),
+    (SECOND_TAPE_KEYED, "aa", "run", 9, None, RunOutcome("dead-end", 1, 2)),
+    (SECOND_TAPE_KEYED, "aa", "accept", 9, None, RunOutcome("dead-end", 1, 2)),
+    (SECOND_TAPE_KEYED, "aa", "space", 9, 5, RunOutcome("dead-end", 1, 2)),
+    (turing.scanner("qA", "a", {}, {}), "a", "run", 0, None, RunOutcome("accepted", 0, 1)),
+    (turing.scanner("qA", "a", {}, {}), "a", "space", 0, 1, RunOutcome("accepted", 0, 1)),
+    (turing.scanner("qR", "a", {}, {}), "a", "run", 0, None, RunOutcome("rejected", 0, 1)),
+    (turing.scanner("qR", "a", {}, {}), "a", "accept", 0, None,
+     RunOutcome("bound-exceeded", 0, 1)),
+    (turing.scanner("qR", "a", {}, {}), "a", "space", 0, 1, RunOutcome("bound-exceeded", 0, 1)),
+], ids=[
+    "reject-on-t-run", "reject-on-t-search", "reject-before-t-search", "reject-pruned",
+    "space-k-plus-1-accepts", "space-k-prunes", "space-k-bound-first", "space-1",
+    "left-move-run", "left-move-search", "left-move-space", "left-move-bound",
+    "both-finals", "both-finals-space-1", "both-finals-space-2", "both-finals-t0",
+    "second-tape-keyed-run-rejects", "second-tape-keyed-run-dies",
+    "second-tape-keyed-search-dies", "second-tape-keyed-space-dies",
+    "initial-accept-run-t0", "initial-accept-space-t0", "initial-reject-run-t0",
+    "initial-reject-search-t0", "initial-reject-space-t0",
+])
+def test_engine_walk_edge_cases(m, word, mode, t, s, want):
+    """The untraced engines on the edges of the walk: each outcome stated,
+    and equal to the reference's without its trace."""
+    word = tuple(word)
+    assert untraced(m, word, mode, t, s) == want
+    if mode == "run":
+        assert replace(reference_run(m, word, t), trace=None) == want
+    else:
+        assert replace(reference_search(m, word, t, space=s), trace=None) == want
+
+
+@pytest.mark.parametrize("mode", ["run", "accept", "space"])
+def test_walk_hands_over_at_a_left_move_and_never_traces(mode, monkeypatch):
+    """A left move makes the walk hand over the depth it fires at, and the
+    engine steps on from there, scanning tapes on the last two steps only;
+    a traced call never walks and scans from the start; an untraced one on
+    a right-moving machine is decided by the walk."""
+    walks = []
+    scans = []
+
+    def spy(*args, **kwargs):
+        walks.append(walk(*args, **kwargs))
+        return walks[-1]
+
+    def counted(*args):
+        scans.append(1)
+        return scan(*args)
+
+    walk, scan = turing._walk, turing._scan
+    monkeypatch.setattr(turing, "_walk", spy)
+    monkeypatch.setattr(turing, "_scan", counted)
+    word = ("a",) * 3
+    assert untraced(RIGHT_THEN_LEFT, word, mode, 9, 4) == RunOutcome("accepted", 5, 4)
+    assert walks == [3]
+    assert len(scans) == 2
+    assert untraced(fixtures.walk_right_machine(3), word, mode, 9, 4).verdict == "accepted"
+    assert walks[1:] == [RunOutcome("accepted", 3, 4)]
+    assert len(scans) == 2
+    if mode == "run":
+        traced = turing.run_deterministic(RIGHT_THEN_LEFT, word, 9, want_trace=True)
+    elif mode == "accept":
+        traced = turing.accepts_within(RIGHT_THEN_LEFT, word, 9)
+    else:
+        traced = turing.accepts_within_space(RIGHT_THEN_LEFT, word, 9, 4)
+    assert len(walks) == 2
+    assert len(traced.trace) == 6
+    assert len(scans) == 7
+
+
+@pytest.mark.parametrize("m, word, resumed", [
+    (RIGHT_THEN_LEFT, "aa", True),   # one tape, walked past the input
+    (BOUNCE, "aa", False),           # one tape, turned inside the input
+    (SIBLINGS, "a", False),          # two transitions fired on the walk
+    (SECOND_TAPE_LEFT, "aa", True),  # two tapes, turned inside the input
+])
+def test_search_resumes_only_where_no_walked_configuration_recurs(m, word, resumed,
+                                                                 monkeypatch):
+    """The untraced search goes on from the walk's configuration only where
+    it is the walk's one configuration and none before it can come back:
+    otherwise its visited set would miss them.  Either way it equals the
+    reference."""
+    scans = []
+
+    def counted(*args):
+        scans.append(1)
+        return scan(*args)
+
+    scan = turing._scan
+    monkeypatch.setattr(turing, "_scan", counted)
+    word = tuple(word)
+    walked = turing._walk(m, word, 9, None, run=False)
+    assert walked > 0
+    want = replace(reference_search(m, word, 9), trace=None)
+    scans.clear()
+    outcome = turing.accepts_within(m, word, 9, want_trace=False)
+    assert outcome == want
+    assert outcome.steps_used >= walked
+    untraced_scans = len(scans)
+    scans.clear()
+    assert replace(turing.accepts_within(m, word, 9), trace=None) == outcome
+    if resumed:
+        assert untraced_scans < len(scans)
+    else:
+        assert untraced_scans == len(scans)
 
 
 @pytest.mark.parametrize("colliding", [False, True])
@@ -281,3 +477,5 @@ def test_fixture_suite_matches_reference():
                     assert_run_matches(m, tuple(word))
                 if turing.right_moving_acceptor(m) is not None:
                     assert_acceptor_matches(m, tuple(word))
+                if m == right_moving(m):
+                    assert_walk_matches(m, tuple(word))
