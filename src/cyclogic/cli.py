@@ -58,8 +58,8 @@ def table_to_obj(
 
 
 def _table_doc(n: int, kind: str, index, outputs) -> dict:
-    """The one key layout of a table document; ``enumerate --json`` passes
-    the family stream's tuples, which json writes as the same arrays."""
+    """The one key layout of a table document; ``enumerate --json`` writes
+    its rendered arrays into this layout (``_document_frame``)."""
     return {"modulus": n, "kind": kind, "index": index, "outputs": outputs}
 
 
@@ -240,12 +240,15 @@ def cmd_enumerate(args) -> int:
             f'{{"total": {total}, "distinct": {distinct}}}' if args.json else f"{total} {distinct}"
         ]
     else:
-        rows = logic._family_rows(args.kind, args.n, args.allow_large)
         if args.json:
-            lines = [json.dumps([_table_doc(args.n, args.kind, idx, outs) for idx, outs in rows])]
+            head, middle, tail = _document_frame(args.n, args.kind)
+            tables = _rendered_family(args, json.dumps, ", ")
+            lines = ["[" + ", ".join([head + idx + middle + outs + tail
+                                      for idx, outs in tables]) + "]"]
         else:
-            flat = itertools.chain.from_iterable if args.kind == "binary" else iter
-            lines = (_enumeration_line(flat(idx), flat(outs)) for idx, outs in rows)
+            render = (lambda row: ",".join(map(str, row))) if args.kind == "binary" else str
+            tables = _rendered_family(args, render, ",")
+            lines = (_enumeration_line(idx, outs) for idx, outs in tables)
     out = contextlib.nullcontext(sys.stdout) if args.output is None else _open_output(args.output)
     with out as sink:
         for line in lines:
@@ -316,9 +319,37 @@ def _unwritable(path: str, exc: OSError) -> UsageError:
     return UsageError(f"cannot write output file: {OSError(exc.errno, exc.strerror, path)}")
 
 
-def _enumeration_line(index: Iterable[int], outputs: Iterable[int]) -> str:
+def _rendered_family(args, render, sep: str) -> Iterator[tuple[str, str]]:
+    """The (index, outputs) texts of every table of the family ``args``
+    names, in lexicographic index order.
+
+    Each piece of ``logic._family_positions`` is rendered once by
+    ``render``, and a table's texts are its positions' texts joined by
+    ``sep``.  Each position's pairs are replaced by their two lists of
+    texts, so its output pieces are freed as the texts are made.  The checks
+    and the rendering run at call time; only the joins are lazy.  The index
+    and outputs texts come from two products over lists of the same
+    lengths, which choose in the same order.
+    """
+    positions = logic._family_positions(args.kind, args.n, args.allow_large)
+    for a, pairs in enumerate(positions):
+        positions[a] = [render(idx) for idx, _ in pairs], [render(out) for _, out in pairs]
+    indexes, outputs = zip(*positions)
+    return zip(map(sep.join, itertools.product(*indexes)),
+               map(sep.join, itertools.product(*outputs)))
+
+
+def _document_frame(n: int, kind: str) -> tuple[str, str, str]:
+    """``_table_doc``'s layout around a table's rendered index and outputs
+    array bodies: the document is head + index + middle + outputs + tail."""
+    head, _, rest = json.dumps(_table_doc(n, kind, "\0", "\1")).partition('"\\u0000"')
+    middle, _, tail = rest.partition('"\\u0001"')
+    return head + "[", "]" + middle + "[", "]" + tail
+
+
+def _enumeration_line(index: str, outputs: str) -> str:
     """One text line of ``enumerate``: the flat index, a tab, the flat outputs."""
-    return f"{','.join(map(str, index))}\t{','.join(map(str, outputs))}"
+    return f"{index}\t{outputs}"
 
 
 def cmd_tm(args) -> int:

@@ -17,10 +17,11 @@ and, for arity 2, classifies each table against the standard boolean
 connectives.  A table cell is a plain exponent: the one-argument table
 of index i holds (a + i_a) mod n and the two-argument table
 (a*b + i_ab) mod n, the generators' results computed directly.  A whole
-family is one stream of plain (index, outputs) tuples, a product over
-positions of precomputed rows (a binary family shares its n^n index rows
-and their output rows among all tables); it feeds the dataclass
-enumerators and the ``enumerate`` command alike.  ``LogicValue`` objects
+family is a product over positions of precomputed pieces (a binary family
+shares its n^n index rows and their output rows among all tables).  The
+positions feed both the stream of plain (index, outputs) tuples behind the
+dataclass enumerators and the ``enumerate`` command, which renders each
+piece to text once and joins the texts of every table.  ``LogicValue`` objects
 appear only at the edges: the generators, ``make_value``, ``to_complex``
 and the ``apply_*`` lookups.
 
@@ -223,29 +224,44 @@ def _family_cells(family: str, n: int, allow_large: bool) -> int:
     return cells
 
 
+def _family_positions(
+    family: str, n: int, allow_large: bool
+) -> list[list[tuple]]:
+    """The n positions of a family's tables, each a list of (index piece,
+    output piece) pairs: a cell for unary (ints), row a for binary (row
+    tuples).
+
+    Position a takes each of its index pieces with the output piece that
+    generator a gives it, and a table is one choice per position.  Each
+    binary index row is built once and shared by every position.  The
+    family, arity and size checks run at call time, and so does building
+    the n*n^n pairs (past the guard, binary n = 6 takes about half a second
+    and 50 MB).  The lists are the caller's own: ``cli._rendered_family``
+    replaces each position, in place, by its rendered texts.
+    """
+    _family_cells(family, n, allow_large)
+    if family == "unary":
+        return [[(i, (a + i) % n) for i in range(n)] for a in range(n)]
+    rows = list(itertools.product(range(n), repeat=n))
+    return [
+        [(row, tuple((a * b + i) % n for b, i in enumerate(row))) for row in rows]
+        for a in range(n)
+    ]
+
+
 def _family_rows(
     family: str, n: int, allow_large: bool
 ) -> Iterator[tuple[tuple, tuple]]:
     """Stream every (index, outputs) pair of a family, indexes in lexicographic
     order, as plain tuples: flat cells for unary, tuples of rows for binary.
 
-    Position a of a table (a cell for unary, row a for binary) takes each of
-    its index pieces with the output piece that generator a gives it, and a
-    table is one choice per position.  Each binary row is built once and
-    shared by every table that holds it.  The family, arity and size checks
-    run at call time, and so does building the n*n^n row pairs (past the
-    guard, binary n = 6 takes about half a second and 50 MB); only the
-    tables themselves are lazy.
+    The stream is the product over ``_family_positions``, so every table
+    shares its pieces; the checks and the pieces run at call time and only
+    the tables themselves are lazy.  The same positions feed the rendered
+    text of ``cyclogic enumerate`` (``cli._rendered_family``), which joins
+    each piece's text instead of building these tuples.
     """
-    _family_cells(family, n, allow_large)
-    if family == "unary":
-        positions = [[(i, (a + i) % n) for i in range(n)] for a in range(n)]
-    else:
-        rows = list(itertools.product(range(n), repeat=n))
-        positions = [
-            [(row, tuple((a * b + i) % n for b, i in enumerate(row))) for row in rows]
-            for a in range(n)
-        ]
+    positions = _family_positions(family, n, allow_large)
     return (tuple(zip(*choice)) for choice in itertools.product(*positions))
 
 

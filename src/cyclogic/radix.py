@@ -165,9 +165,21 @@ def symbol_shift(w: RadixWord, i: int, k: int) -> RadixWord:
     return RadixWord(w.base, w.digits[:i] + (shifted,) + w.digits[i + 1 :])
 
 
+#: Byte d -> the ASCII numeral of d, for the digits of bases up to 10.
+_DIGIT_NUMERALS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def format_word(w: RadixWord) -> str:
-    """Text form ``b:<base>|<d0>,<d1>,...`` with digits least-significant first."""
-    return f"b:{w.base}|{','.join(str(d) for d in w.digits)}"
+    """Text form ``b:<base>|<d0>,<d1>,...`` with digits least-significant first.
+
+    Digits of a base up to 10 are single numerals, translated as bytes in
+    one pass; larger bases write each digit with ``str``.
+    """
+    if w.base <= 10:
+        body = ",".join(bytes(w.digits).translate(_DIGIT_NUMERALS).decode("ascii"))
+    else:
+        body = ",".join(map(str, w.digits))
+    return f"b:{w.base}|{body}"
 
 
 #: A written natural number: ASCII decimal, no sign and no leading zero.

@@ -217,10 +217,36 @@ class TestEnumerate:
         assert lines[0] == "0,0\t0,1"
 
     def test_json_stream_parses_back(self, capsys):
-        assert main(["enumerate", "--n", "2", "--kind", "unary", "--json"]) == 0
-        objs = json.loads(capsys.readouterr().out)
-        tables = [cli.table_from_obj(o)[1] for o in objs]
-        assert tables == [t for _, t in logic.enumerate_unary(2)]
+        for kind, n in [("unary", 2), ("unary", 5), ("binary", 3)]:
+            assert main(["enumerate", "--n", str(n), "--kind", kind, "--json"]) == 0
+            objs = json.loads(capsys.readouterr().out)
+            family = logic.enumerate_unary(n) if kind == "unary" else logic.enumerate_binary(n)
+            assert [cli.table_from_obj(o) for o in objs] == list(family)
+
+    def test_text_form_streams(self, capsys, monkeypatch):
+        """Past the guard the text form writes each line as its table comes:
+        3 lines of the 4^16 tables are written before the stream is stopped."""
+        class Stop(Exception):
+            pass
+
+        written, render = [], cli._enumeration_line
+
+        def line(index, outputs):
+            if len(written) == 3:
+                raise Stop
+            written.append(render(index, outputs))
+            return written[-1]
+
+        monkeypatch.setattr(cli, "_enumeration_line", line)
+        with pytest.raises(Stop):
+            main(["enumerate", "--n", "4", "--kind", "binary", "--allow-large"])
+
+        def flat(rows):
+            return ",".join(str(e) for row in rows for e in row)
+
+        first = itertools.islice(logic.enumerate_binary(4, allow_large=True), 3)
+        assert written == [f"{flat(idx.matrix)}\t{flat(t.outputs)}" for idx, t in first]
+        assert capsys.readouterr().out.splitlines() == written
 
     def test_failed_guard_leaves_no_file(self, capsys, tmp_path):
         path = tmp_path / "family.txt"

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclogic import radix
 from oracles import decimal_value, naive_binary_digits, naive_value, reference_digits
@@ -232,6 +232,19 @@ class TestTextForm:
         except ValueError:
             return
         assert radix.format_word(word) == text
+
+    @given((st.sampled_from([10, 11]) | st.integers(2, 12)).flatmap(
+        lambda b: st.lists(st.just(0) | st.integers(0, b - 1)).map(
+            lambda digits: radix.RadixWord(b, tuple(digits)))))
+    @example(radix.RadixWord(10, ()))
+    @example(radix.RadixWord(11, ()))
+    @example(radix.RadixWord(2, (0, 0, 0)))
+    @example(radix.RadixWord(10, (9, 0, 9)))
+    @example(radix.RadixWord(11, (10, 0, 9)))
+    def test_format_is_the_generic_form(self, word):
+        text = radix.format_word(word)
+        assert text == f"b:{word.base}|" + ",".join(map(str, word.digits))
+        assert radix.parse_word(text) == word
 
     def test_out_of_range_digit_is_a_domain_error(self):
         with pytest.raises(ValueError) as exc_info:
