@@ -4,14 +4,14 @@ For each sampled length-l base-b word the harness runs a pair of machines
 built from the same family — one over an alphabet of b digit symbols, one
 over {0, 1} fed the binary re-encoding of the word — and records the
 minimal accepting step counts within the step cap.  A deterministic machine
-that moves right on every step is walked by a next-state table compiled
-once per machine, one lookup per input symbol
-(``turing.right_moving_acceptor``); any other goes through the untraced
-bounded search (``turing.accepts_within``), which itself walks the set of
-reachable states while every fired transition moves right, and searches
-breadth-first past the first one that does not.  Both give the same
-outcome; the compiled table is the faster of the two on the words of one
-machine.
+that moves right on every step is walked as a finite automaton whose
+memo of steps lives as long as the machine's engine, one lookup per
+input symbol (``turing.right_moving_acceptor``); any other goes through
+the untraced bounded search (``turing.accepts_within``), which itself
+walks the set of reachable states while every fired transition moves
+right, and searches breadth-first past the first one that does not.
+Both give the same outcome; the kept memo is the faster of the two on
+the words of one machine.
 A least-squares fit of log(steps_binary) against log(steps_wide) gives a
 descriptive growth exponent for the slowdown.
 
@@ -255,9 +255,9 @@ def fit_exponent(pairs: Iterable[tuple[int, int]]) -> float | None:
 def run_experiment(spec: ExperimentSpec) -> StepReport:
     """Sample words, run both machines on each, and fit the growth exponent.
 
-    Each machine gets its engine once: a compiled finite-automaton walk if
-    it is deterministic and moves right on every step, else the untraced
-    search.  Rows
+    Each machine gets its engine once: a finite-automaton walk with one
+    memo for all its words if it is deterministic and moves right on every
+    step, else the untraced search.  Rows
     where either machine hits the step cap are flagged as capped and
     excluded from the fit; they are never dropped from the report.
     """

@@ -29,15 +29,16 @@ transition that fires moves every head right, no configuration repeats
 and no head reads back a square it wrote: the machine is a finite
 automaton over its input followed by blanks.  So the untraced search and
 the untraced run first walk it (``_walk``): they step the set of states
-reachable at each depth, one table lookup per state and input symbol or
-blank, with no tapes, heads or search bookkeeping.  At the first
-transition that fires with another move, the run goes on stepping from
-the tapes the walk wrote (``_walked``), and so does the search where the
-walk followed one path and no configuration before can recur; any other
-search starts over.  For a deterministic machine that moves every head
-right on every transition, ``right_moving_acceptor`` compiles that walk
-once into a next-state table, for callers that decide many words on one
-machine.
+reachable at each depth, with no tapes, heads or search bookkeeping.  A
+walk numbers the state sets it reaches and remembers each step from a
+set on a symbol once it is worked out, so a step is one memo lookup.  At
+the first transition that fires with another move, the run goes on
+stepping from the tapes the walk wrote (``_walked``), and so does the
+search where the walk followed one path and no configuration before can
+recur; any other search starts over.  For a deterministic machine that
+moves every head right on every transition, ``right_moving_acceptor``
+keeps one walk's memo across words, for callers that decide many words
+on one machine.
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
 steps on one mutable list per tape, and writes each of them every step,
@@ -399,13 +400,15 @@ def run_deterministic(
     return RunOutcome(verdict, steps, max_head, tuple(trace) if trace is not None else None)
 
 
-def _walk(
-    m: TuringMachine, word: tuple[str, ...], t: int, space: int | None, run: bool
-) -> RunOutcome | int:
-    """The untraced outcome of the search (``run`` false) or of the run
-    (``run`` true) while every fired transition moves every head right; as
-    soon as one does not, the depth it fires at, for the caller to go on
-    from (``_walked``).
+_HAND_OVER = -1  # a memo entry: a transition that does not move every head right fires here
+
+
+def _walker(m: TuringMachine) -> Callable[..., RunOutcome | int]:
+    """``walk(word, t, space, run)``: the untraced outcome of the search
+    (``run`` false) or of the run (``run`` true, for a deterministic
+    machine) while every fired transition moves every head right; as soon
+    as one does not, the depth it fires at, for the caller to go on from
+    (``_walked``).
 
     Until then step d leaves every head on square d + 1, and no head reads
     back a square it wrote: tape 1 scans the input, then blanks, and every
@@ -416,34 +419,79 @@ def _walk(
     reached and one before as a dead end; the run reports it first.  Every
     step goes one square further right, so a space bound s allows s - 1
     steps.
+
+    The walks of one walker share a memo, filled as they go (the lazy
+    subset construction): each state set reached gets an id, 0 for the
+    empty set and 1 for the initial one, and ``rows[id]`` maps a tape-1
+    symbol to the next set's id or to ``_HAND_OVER``.  So a step is one
+    dict lookup, and a walk adds at most one set per step.  The memo holds
+    nothing of a call's word or bounds.
     """
     table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
     right = ("R",) * m.tapes
     idle = (blank,) * (m.tapes - 1)
-    states: dict[str, None] = {m.initial: None}
-    steps = 0
-    while True:
-        if accept in states:
-            verdict = VERDICT_ACCEPTED
-        elif run and reject in states:
-            verdict = VERDICT_REJECTED
-        elif steps == t:
-            verdict = VERDICT_BOUND_EXCEEDED
-        else:
-            scanned = (word[steps] if steps < len(word) else blank,) + idle
-            reached: dict[str, None] = {}
-            for state in states:
-                if state != reject:
-                    for tr in table.get((state, scanned), ()):
-                        if tr.moves != right:
-                            return steps
-                        reached[tr.next_state] = None
-            if reached and steps + 1 != space:
-                states = reached
+    sets: list[tuple[str, ...]] = [(), (m.initial,)]
+    ids = {states: sid for sid, states in enumerate(sets)}
+    rows: list[dict[str, int]] = [{}, {}]
+
+    def fill(sid: int, symbol: str) -> int:
+        scanned = (symbol,) + idle
+        reached: dict[str, None] = {}
+        for state in sets[sid]:
+            if state != reject:
+                for tr in table.get((state, scanned), ()):
+                    if tr.moves != right:
+                        rows[sid][symbol] = _HAND_OVER
+                        return _HAND_OVER
+                    reached[tr.next_state] = None
+        states = tuple(reached)
+        if states not in ids:
+            ids[states] = len(sets)
+            sets.append(states)
+            rows.append({})
+        rows[sid][symbol] = ids[states]
+        return ids[states]
+
+    def walk(word: tuple[str, ...], t: int, space: int | None, run: bool) -> RunOutcome | int:
+        sid, steps = 1, 0
+        stop = t if space is None else min(t, space - 1)
+        for symbol in itertools.chain(word, itertools.repeat(blank)):
+            # No set holding the accept state gets a row, and in a run one
+            # holding the reject state holds only it, so its rows lead to the
+            # empty set: a known non-empty next set within both bounds is a step.
+            nxt = rows[sid].get(symbol, 0)
+            if nxt > 0 and steps < stop:
+                sid = nxt
                 steps += 1
                 continue
-            verdict = VERDICT_DEAD_END
-        return RunOutcome(verdict, steps, steps + 1)
+            states = sets[sid]
+            if accept in states:
+                verdict = VERDICT_ACCEPTED
+            elif run and reject in states:
+                verdict = VERDICT_REJECTED
+            elif steps == t:
+                verdict = VERDICT_BOUND_EXCEEDED
+            else:
+                nxt = rows[sid].get(symbol)
+                if nxt is None:
+                    nxt = fill(sid, symbol)
+                if nxt == _HAND_OVER:
+                    return steps
+                if nxt and steps + 1 != space:
+                    sid = nxt
+                    steps += 1
+                    continue
+                verdict = VERDICT_DEAD_END
+            return RunOutcome(verdict, steps, steps + 1)
+
+    return walk
+
+
+def _walk(
+    m: TuringMachine, word: tuple[str, ...], t: int, space: int | None, run: bool
+) -> RunOutcome | int:
+    """One walk of ``m`` over ``word`` on a fresh memo (``_walker``)."""
+    return _walker(m)(word, t, space, run)
 
 
 def _walked(
@@ -472,50 +520,23 @@ def right_moving_acceptor(m: TuringMachine) -> Callable[[Word, int], RunOutcome]
     """For a deterministic machine whose every transition moves every head
     right, a function (w, t) -> ``accepts_within(m, w, t, want_trace=False)``
     that walks the machine as a finite automaton instead of searching; None
-    for any other machine.  Decide once per machine: the check walks the
-    whole table and compiles it into a next-state table keyed on
-    (state, tape-1 symbol).
+    for any other machine.  Decide once per machine: the check reads the
+    whole table, and the function keeps one walk's memo (``_walker``)
+    across its words, so each (state, symbol) step is worked out once.
 
     Every head moves right on every step, so no configuration repeats and
-    none is killed at the left end or pruned by the step bound: the search's
-    one path is the walk.  No head reads back a square it wrote: the tape-1
-    head scans the input, then blanks, and every other head scans the blank
-    just past what it wrote, so only rows keyed on blanks there can fire,
-    and step k leaves every head on square k + 1.  The search skips the
-    reject state, so a rejection on step t reads as bound-exceeded and one
-    before as dead-end.
+    none is killed at the left end or pruned by the step bound: the
+    search's one path is the walk, and the walk never hands over.
     """
-    if not is_deterministic(m):
-        return None
     right = ("R",) * m.tapes
-    idle = (m.blank,) * (m.tapes - 1)
-    table = {}
-    for (state, scanned), (tr,) in m.transitions.items():
-        if tr.moves != right:
-            return None
-        if len(scanned) == m.tapes and scanned[1:] == idle:
-            table[state, scanned[0]] = tr.next_state
-    blank, accept, reject = m.blank, m.accept, m.reject
+    if not is_deterministic(m) or any(tr.moves != right for (tr,) in m.transitions.values()):
+        return None
+    walk = _walker(m)
 
     def accepts(w: Word, t: int) -> RunOutcome:
         _check_bound("step", t, 0)
         word = initial_id(m, w).tapes[0]  # refuses a foreign symbol as the search does
-        state = m.initial
-        steps = 0
-        for symbol in itertools.islice(itertools.chain(word, itertools.repeat(blank)), t):
-            if state == accept or state == reject:
-                break
-            state = table.get((state, symbol))
-            if state is None:
-                return RunOutcome(VERDICT_DEAD_END, steps, steps + 1)
-            steps += 1
-        if state == accept:
-            verdict = VERDICT_ACCEPTED
-        elif steps == t:
-            verdict = VERDICT_BOUND_EXCEEDED
-        else:
-            verdict = VERDICT_DEAD_END
-        return RunOutcome(verdict, steps, steps + 1)
+        return walk(word, t, None, False)
 
     return accepts
 

@@ -6,7 +6,8 @@ exactly the reference outcome, witness path included, for every step and
 space bound.  The untraced search and run walk right-moving steps as a
 finite automaton, and so does ``right_moving_acceptor``: every walk must
 give exactly the reference's outcome without its trace, for every step and
-space bound, and on the edge cases of the walk.
+space bound, and on the edge cases of the walk, also when one walker's
+memo has served other words, bounds and modes before.
 """
 
 import itertools
@@ -97,7 +98,7 @@ def test_run_matches_reference(case):
 
 
 def assert_acceptor_matches(m, word):
-    """The compiled walk against the reference and the traced search, which
+    """The acceptor's walk against the reference and the traced search, which
     walks nothing, both without their traces."""
     accepts = turing.right_moving_acceptor(m)
     assert accepts is not None
@@ -479,3 +480,58 @@ def test_fixture_suite_matches_reference():
                     assert_acceptor_matches(m, tuple(word))
                 if m == right_moving(m):
                     assert_walk_matches(m, tuple(word))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(machines())
+def test_one_walker_serves_every_bound(case):
+    """One walker's memo, filled by each call in turn, gives every bound
+    and mode of ``assert_walk_matches`` the reference's outcome, as a fresh
+    walk per call does."""
+    m, word = case
+    m = right_moving(m)
+    walk = turing._walker(m)
+
+    def shared(machine, *args, **kwargs):
+        assert machine is m
+        return walk(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(turing, "_walk", shared)
+        assert_walk_matches(m, word)
+
+
+#: Nondeterministic and right-moving: guesses an a followed by a b, dies
+#: on a second a after the guess, and accepts at the end once a guess has
+#: held.  On "abab..." its state sets, not single states, recur.
+GUESS_AB = turing.scanner("q0", "ab", {
+    "q0": {"a": ("q0", "q1"), "b": ("q0",)},
+    "q1": {"a": ("qR",), "b": ("q2",)},
+    "q2": {"a": ("q2",), "b": ("q2",)},
+}, {"q2": "qA"})
+
+
+@pytest.mark.parametrize("m", [*fixtures.fixture_suite().values(), GUESS_AB],
+                         ids=[*fixtures.fixture_suite(), "guess-ab"])
+def test_memo_holds_nothing_of_a_call(m):
+    """One acceptor and one walker, each called first on a long word with a
+    large bound and then on short words with bounds around their length,
+    without and with a space bound, and the walker as run and as search in
+    turn: every outcome equals a fresh engine's."""
+    symbols = sorted(m.input_alphabet)
+    long_word = tuple(symbols[i * i % len(symbols)] for i in range(40))
+    short_words = [()] + [w for k in (1, 2, 3) for w in itertools.product(symbols, repeat=k)]
+    calls = [(long_word, 200)] + [(w, t) for w in short_words for t in (0, 1, len(w), len(w) + 1)]
+    accepts = turing.right_moving_acceptor(m)
+    walk = turing._walker(m)
+    deterministic = turing.is_deterministic(m)
+    for k, (word, t) in enumerate(calls):
+        if accepts is not None:
+            assert accepts(word, t) == turing.accepts_within(m, word, t, want_trace=False)
+        walks = [(None, False, turing.accepts_within(m, word, t, want_trace=False))]
+        walks += [(s, False, turing.accepts_within_space(m, word, t, s, want_trace=False))
+                  for s in (1, len(word) + 1, len(word) + 2)]
+        if deterministic:  # the run goes first on even calls, last on odd ones
+            walks.insert(k % 2 * len(walks), (None, True, turing.run_deterministic(m, word, t)))
+        for space, run, want in walks:
+            assert walk(word, t, space, run) == want, (word, t, space, run)
