@@ -153,6 +153,7 @@ def _value_grid(table: logic.UnaryTable | logic.BinaryTable) -> str:
 
 
 def _parse_index(kind: str, n: int, text: str):
+    logic._check_arity(n)  # a domain error (exit 1), as in enumerate, before the entry count
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:

@@ -3,15 +3,12 @@
 For each sampled length-l base-b word the harness runs a pair of machines
 built from the same family — one over an alphabet of b digit symbols, one
 over {0, 1} fed the binary re-encoding of the word — and records the
-minimal accepting step counts within the step cap.  A deterministic machine
-that moves right on every step is walked as a finite automaton whose
-memo of steps lives as long as the machine's engine, one lookup per
-input symbol (``turing.right_moving_acceptor``); any other goes through
-the untraced bounded search (``turing.accepts_within``), which itself
-walks the set of reachable states while every fired transition moves
-right, and searches breadth-first past the first one that does not.
-Both give the same outcome; the kept memo is the faster of the two on
-the words of one machine.
+minimal accepting step counts within the step cap.  Every word goes
+through the untraced bounded search (``turing.accepts_within``), which
+walks the set of reachable states as a finite automaton while every fired
+transition moves right, one memo lookup per input symbol, and searches
+breadth-first past the first one that does not.  The walk's memo lives as
+long as the machine, so the words of one length share it.
 A least-squares fit of log(steps_binary) against log(steps_wide) gives a
 descriptive growth exponent for the slowdown.
 
@@ -48,7 +45,6 @@ from .turing import (
     VERDICT_ACCEPTED,
     VERDICT_BOUND_EXCEEDED,
     accepts_within,
-    right_moving_acceptor,
     scanner,
 )
 
@@ -255,26 +251,22 @@ def fit_exponent(pairs: Iterable[tuple[int, int]]) -> float | None:
 def run_experiment(spec: ExperimentSpec) -> StepReport:
     """Sample words, run both machines on each, and fit the growth exponent.
 
-    Each machine gets its engine once: a finite-automaton walk with one
-    memo for all its words if it is deterministic and moves right on every
-    step, else the untraced search.  Rows
-    where either machine hits the step cap are flagged as capped and
-    excluded from the fit; they are never dropped from the report.
+    Both machines of a length decide all its words through the untraced
+    search, whose walk memo they keep across those words.  Rows where
+    either machine hits the step cap are flagged as capped and excluded
+    from the fit; they are never dropped from the report.
     """
     rng = random.Random(spec.seed)
     rows: list[StepRow] = []
     for l in spec.lengths:
         b = spec.base_for(l)
-        wide, binary = [
-            right_moving_acceptor(m) or functools.partial(accepts_within, m, want_trace=False)
-            for m in build_machine_pair(spec.machine_family, l, b)
-        ]
+        wide, binary = build_machine_pair(spec.machine_family, l, b)
         for _ in range(spec.words_per_length):
             word = RadixWord(b, tuple(rng.randrange(b) for _ in range(l)))
             wide_input = tuple(str(d) for d in word.digits)
             binary_input = tuple(str(d) for d in rebase(word, 2).digits)
-            wide_out = wide(wide_input, spec.step_cap)
-            binary_out = binary(binary_input, spec.step_cap)
+            wide_out = accepts_within(wide, wide_input, spec.step_cap, want_trace=False)
+            binary_out = accepts_within(binary, binary_input, spec.step_cap, want_trace=False)
             wide_ok = wide_out.verdict == VERDICT_ACCEPTED
             binary_ok = binary_out.verdict == VERDICT_ACCEPTED
             rows.append(

@@ -31,14 +31,13 @@ automaton over its input followed by blanks.  So the untraced search and
 the untraced run first walk it (``_walk``): they step the set of states
 reachable at each depth, with no tapes, heads or search bookkeeping.  A
 walk numbers the state sets it reaches and remembers each step from a
-set on a symbol once it is worked out, so a step is one memo lookup.  At
-the first transition that fires with another move, the run goes on
-stepping from the tapes the walk wrote (``_walked``), and so does the
-search where the walk followed one path and no configuration before can
-recur; any other search starts over.  For a deterministic machine that
-moves every head right on every transition, ``right_moving_acceptor``
-keeps one walk's memo across words, for callers that decide many words
-on one machine.
+set on a symbol once it is worked out, so a step is one memo lookup.  The
+memo depends on the transition table only, so it lives as long as the
+machine (``TuringMachine._memo``) and serves every later word, bound and
+engine on it.  At the first transition that fires with another move, the
+run goes on stepping from the tapes the walk wrote (``_walked``), and so
+does the search where the walk followed one path and no configuration
+before can recur; any other search starts over.
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
 steps on one mutable list per tape, and writes each of them every step,
@@ -59,6 +58,7 @@ rebuilt from the parent pointers only when one is asked for.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -96,6 +96,14 @@ class TuringMachine:
     accept: str
     reject: str
     tapes: int = 1
+
+    @functools.cached_property
+    def _memo(self) -> tuple[list, dict, list]:
+        """The walk's memo (``_walk``): the state sets reached, their ids and
+        their rows.  Made on first use and kept in the instance, it is no
+        field: equality, repr and the machine-file form ignore it,
+        ``replace`` starts a fresh one, and it pickles as plain data."""
+        return [(), (self.initial,)], {(): 0, (self.initial,): 1}, [{}, {}]
 
 
 def make_machine(
@@ -280,9 +288,9 @@ def is_deterministic(m: TuringMachine) -> bool:
 def initial_id(m: TuringMachine, w: Word) -> InstantaneousDescription:
     """Initial configuration: input on tape 1, other tapes empty, heads at 1."""
     word = tuple(w)
-    for s in word:
-        if s not in m.input_alphabet:
-            raise ValueError(f"symbol {s!r} not in the input alphabet")
+    if not m.input_alphabet.issuperset(word):
+        foreign = next(s for s in word if s not in m.input_alphabet)
+        raise ValueError(f"symbol {foreign!r} not in the input alphabet")
     tapes = (word,) + ((),) * (m.tapes - 1)
     return InstantaneousDescription(m.initial, tapes, (1,) * m.tapes)
 
@@ -403,12 +411,13 @@ def run_deterministic(
 _HAND_OVER = -1  # a memo entry: a transition that does not move every head right fires here
 
 
-def _walker(m: TuringMachine) -> Callable[..., RunOutcome | int]:
-    """``walk(word, t, space, run)``: the untraced outcome of the search
-    (``run`` false) or of the run (``run`` true, for a deterministic
-    machine) while every fired transition moves every head right; as soon
-    as one does not, the depth it fires at, for the caller to go on from
-    (``_walked``).
+def _walk(
+    m: TuringMachine, word: tuple[str, ...], t: int, space: int | None, run: bool
+) -> RunOutcome | int:
+    """The untraced outcome of the search (``run`` false) or of the run
+    (``run`` true, for a deterministic machine) while every fired
+    transition moves every head right; as soon as one does not, the depth
+    it fires at, for the caller to go on from (``_walked``).
 
     Until then step d leaves every head on square d + 1, and no head reads
     back a square it wrote: tape 1 scans the input, then blanks, and every
@@ -420,78 +429,68 @@ def _walker(m: TuringMachine) -> Callable[..., RunOutcome | int]:
     step goes one square further right, so a space bound s allows s - 1
     steps.
 
-    The walks of one walker share a memo, filled as they go (the lazy
-    subset construction): each state set reached gets an id, 0 for the
-    empty set and 1 for the initial one, and ``rows[id]`` maps a tape-1
-    symbol to the next set's id or to ``_HAND_OVER``.  So a step is one
-    dict lookup, and a walk adds at most one set per step.  The memo holds
-    nothing of a call's word or bounds.
+    The walks on one machine share its memo (``m._memo``), filled as they
+    go (the lazy subset construction): each state set reached gets an id,
+    0 for the empty set and 1 for the initial one, and ``rows[id]`` maps a
+    tape-1 symbol to the next set's id or to ``_HAND_OVER`` (``_fill``).
+    So a step is one dict lookup, and a walk adds at most one set per
+    step.  The memo holds nothing of a call's word or bounds.
     """
-    table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
-    right = ("R",) * m.tapes
-    idle = (blank,) * (m.tapes - 1)
-    sets: list[tuple[str, ...]] = [(), (m.initial,)]
-    ids = {states: sid for sid, states in enumerate(sets)}
-    rows: list[dict[str, int]] = [{}, {}]
-
-    def fill(sid: int, symbol: str) -> int:
-        scanned = (symbol,) + idle
-        reached: dict[str, None] = {}
-        for state in sets[sid]:
-            if state != reject:
-                for tr in table.get((state, scanned), ()):
-                    if tr.moves != right:
-                        rows[sid][symbol] = _HAND_OVER
-                        return _HAND_OVER
-                    reached[tr.next_state] = None
-        states = tuple(reached)
-        if states not in ids:
-            ids[states] = len(sets)
-            sets.append(states)
-            rows.append({})
-        rows[sid][symbol] = ids[states]
-        return ids[states]
-
-    def walk(word: tuple[str, ...], t: int, space: int | None, run: bool) -> RunOutcome | int:
-        sid, steps = 1, 0
-        stop = t if space is None else min(t, space - 1)
-        for symbol in itertools.chain(word, itertools.repeat(blank)):
-            # No set holding the accept state gets a row, and in a run one
-            # holding the reject state holds only it, so its rows lead to the
-            # empty set: a known non-empty next set within both bounds is a step.
-            nxt = rows[sid].get(symbol, 0)
-            if nxt > 0 and steps < stop:
+    sets, _, rows = m._memo
+    blank, accept, reject = m.blank, m.accept, m.reject
+    sid, steps = 1, 0
+    stop = t if space is None else min(t, space - 1)
+    for symbol in itertools.chain(word, itertools.repeat(blank)):
+        # No set holding the accept state gets a row, and in a run one
+        # holding the reject state holds only it, so its rows lead to the
+        # empty set: a known non-empty next set within both bounds is a step.
+        nxt = rows[sid].get(symbol, 0)
+        if nxt > 0 and steps < stop:
+            sid = nxt
+            steps += 1
+            continue
+        states = sets[sid]
+        if accept in states:
+            verdict = VERDICT_ACCEPTED
+        elif run and reject in states:
+            verdict = VERDICT_REJECTED
+        elif steps == t:
+            verdict = VERDICT_BOUND_EXCEEDED
+        else:
+            nxt = rows[sid].get(symbol)
+            if nxt is None:
+                nxt = _fill(m, sid, symbol)
+            if nxt == _HAND_OVER:
+                return steps
+            if nxt and steps + 1 != space:
                 sid = nxt
                 steps += 1
                 continue
-            states = sets[sid]
-            if accept in states:
-                verdict = VERDICT_ACCEPTED
-            elif run and reject in states:
-                verdict = VERDICT_REJECTED
-            elif steps == t:
-                verdict = VERDICT_BOUND_EXCEEDED
-            else:
-                nxt = rows[sid].get(symbol)
-                if nxt is None:
-                    nxt = fill(sid, symbol)
-                if nxt == _HAND_OVER:
-                    return steps
-                if nxt and steps + 1 != space:
-                    sid = nxt
-                    steps += 1
-                    continue
-                verdict = VERDICT_DEAD_END
-            return RunOutcome(verdict, steps, steps + 1)
-
-    return walk
+            verdict = VERDICT_DEAD_END
+        return RunOutcome(verdict, steps, steps + 1)
 
 
-def _walk(
-    m: TuringMachine, word: tuple[str, ...], t: int, space: int | None, run: bool
-) -> RunOutcome | int:
-    """One walk of ``m`` over ``word`` on a fresh memo (``_walker``)."""
-    return _walker(m)(word, t, space, run)
+def _fill(m: TuringMachine, sid: int, symbol: str) -> int:
+    """Work out and remember the step from state set ``sid`` on a tape-1
+    ``symbol``: the next set's id, numbering a new set, or ``_HAND_OVER``."""
+    sets, ids, rows = m._memo
+    scanned = (symbol,) + (m.blank,) * (m.tapes - 1)
+    right = ("R",) * m.tapes
+    reached: dict[str, None] = {}
+    for state in sets[sid]:
+        if state != m.reject:
+            for tr in m.transitions.get((state, scanned), ()):
+                if tr.moves != right:
+                    rows[sid][symbol] = _HAND_OVER
+                    return _HAND_OVER
+                reached[tr.next_state] = None
+    states = tuple(reached)
+    if states not in ids:
+        ids[states] = len(sets)
+        sets.append(states)
+        rows.append({})
+    rows[sid][symbol] = ids[states]
+    return ids[states]
 
 
 def _walked(
@@ -514,31 +513,6 @@ def _walked(
     tapes = [[symbols[j] for symbols in writes] for j in range(m.tapes)]
     tapes[0] += word[steps:]
     return state, tapes
-
-
-def right_moving_acceptor(m: TuringMachine) -> Callable[[Word, int], RunOutcome] | None:
-    """For a deterministic machine whose every transition moves every head
-    right, a function (w, t) -> ``accepts_within(m, w, t, want_trace=False)``
-    that walks the machine as a finite automaton instead of searching; None
-    for any other machine.  Decide once per machine: the check reads the
-    whole table, and the function keeps one walk's memo (``_walker``)
-    across its words, so each (state, symbol) step is worked out once.
-
-    Every head moves right on every step, so no configuration repeats and
-    none is killed at the left end or pruned by the step bound: the
-    search's one path is the walk, and the walk never hands over.
-    """
-    right = ("R",) * m.tapes
-    if not is_deterministic(m) or any(tr.moves != right for (tr,) in m.transitions.values()):
-        return None
-    walk = _walker(m)
-
-    def accepts(w: Word, t: int) -> RunOutcome:
-        _check_bound("step", t, 0)
-        word = initial_id(m, w).tapes[0]  # refuses a foreign symbol as the search does
-        return walk(word, t, None, False)
-
-    return accepts
 
 
 def accepts_within(

@@ -712,6 +712,18 @@ def test_interrupt_exits_130_without_a_traceback(capsys, monkeypatch):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-2"])
+@pytest.mark.parametrize("argv", [
+    ["table", "--kind", "unary", "--index", "0"],
+    ["classify", "--kind", "binary", "--index", "0"],
+    ["enumerate", "--kind", "binary"],
+], ids=["table", "classify", "enumerate"])
+def test_an_arity_below_two_is_one_domain_error(capsys, argv, n):
+    """Every command refuses the arity first, before it counts index entries."""
+    assert main(argv + ["--n", n]) == 1
+    assert capsys.readouterr() == ("", f"error: arity too small: need n >= 2, got {n}\n")
+
+
 class TestParser:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2

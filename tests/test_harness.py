@@ -301,8 +301,9 @@ def emitted(report):
 
 
 class TestEngineChoice:
-    """Deterministic right-moving machines are run, not searched; the reports
-    must not tell."""
+    """Every machine goes through the untraced search, and right-moving ones
+    are decided by its walk, over a memo kept across the words of a length;
+    the reports must equal those of a search that walks nothing."""
 
     CASES = [(family, rule) for family in harness.FAMILIES for rule in ("square", 2, 3, 4, 16)
              if not (family == "digit-sum-parity" and rule == 3)]  # parity refuses base 3
@@ -321,32 +322,27 @@ class TestEngineChoice:
                                           seed=cap, machine_family=family, step_cap=cap)
             report = harness.run_experiment(spec)
             with monkeypatch.context() as mp:
-                mp.setattr(harness, "right_moving_acceptor", lambda m: None)
                 # a walk that hands over at once: the search from step 0
                 mp.setattr(turing, "_walk", lambda *args, **kwargs: 0)
                 searched = harness.run_experiment(spec)
             assert report == searched, cap
             assert emitted(report) == emitted(searched), cap
 
-    @pytest.mark.parametrize("family, searches", [
-        ("scan-accept", 0), ("digit-sum-parity", 0), ("guessed-digit", 2 * 3 * 5),
-    ])
-    def test_one_engine_decision_per_machine(self, family, searches, monkeypatch):
-        calls = {"is_deterministic": 0, "accepts_within": 0}
+    @pytest.mark.parametrize("family", harness.FAMILIES)
+    def test_each_word_is_searched_once_on_each_machine(self, family, monkeypatch):
+        """Two searches a word, on the two machines built for its length."""
+        machines = []
 
-        def counted(name, fn):
-            def count(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return count
+        def counted(m, *args, **kwargs):
+            machines.append(m)
+            return search(m, *args, **kwargs)
 
-        monkeypatch.setattr(turing, "is_deterministic", counted("is_deterministic",
-                                                                turing.is_deterministic))
-        monkeypatch.setattr(harness, "accepts_within", counted("accepts_within",
-                                                               turing.accepts_within))
-        spec = harness.ExperimentSpec((1, 2, 3), 4, 5, 7, family, 1024)
-        harness.run_experiment(spec)
-        assert calls == {"is_deterministic": 2 * 3, "accepts_within": searches}
+        search = harness.accepts_within
+        monkeypatch.setattr(harness, "accepts_within", counted)
+        lengths, words = (1, 2, 3), 5
+        harness.run_experiment(harness.ExperimentSpec(lengths, 4, words, 7, family, 1024))
+        assert len(machines) == 2 * len(lengths) * words
+        assert len({id(m) for m in machines}) == 2 * len(lengths)
 
 
 class TestExponentFit:

@@ -156,8 +156,9 @@ class TestInitialDescription:
         assert desc.heads == (1,)  # position 1 == len + 1 on the empty word
 
     def test_symbol_outside_input_alphabet(self):
-        with pytest.raises(ValueError, match="input alphabet"):
-            turing.initial_id(fixtures.even_a_machine(), "a$")
+        with pytest.raises(ValueError) as refused:
+            turing.initial_id(fixtures.even_a_machine(), "aa%a$")
+        assert str(refused.value) == "symbol '%' not in the input alphabet"  # the first one
 
 
 class TestScannedSymbols:

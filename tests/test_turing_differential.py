@@ -4,19 +4,21 @@ Random small machines (1-2 tapes, deterministic and nondeterministic, with
 loops, left moves from square 1 and writes that grow the tape) must give
 exactly the reference outcome, witness path included, for every step and
 space bound.  The untraced search and run walk right-moving steps as a
-finite automaton, and so does ``right_moving_acceptor``: every walk must
-give exactly the reference's outcome without its trace, for every step and
-space bound, and on the edge cases of the walk, also when one walker's
+finite automaton over a memo kept on the machine: every walk must give
+exactly the reference's outcome without its trace, for every step and
+space bound, and on the edge cases of the walk, also when the machine's
 memo has served other words, bounds and modes before.
 """
 
 import itertools
+import pickle
 from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cyclogic import fixtures, harness, turing
+from cyclogic.machinefile import format_machine
 from cyclogic.turing import RunOutcome, Transition, make_machine
 from oracles import brute_force_accepts, reference_run, reference_search
 
@@ -98,13 +100,12 @@ def test_run_matches_reference(case):
 
 
 def assert_acceptor_matches(m, word):
-    """The acceptor's walk against the reference and the traced search, which
-    walks nothing, both without their traces."""
-    accepts = turing.right_moving_acceptor(m)
-    assert accepts is not None
+    """The untraced search of one machine, each bound reusing the walk memo
+    the ones before filled, against the reference and the traced search,
+    which walks nothing, both without their traces."""
     for t in range(MAX_T + 1):
         want = replace(reference_search(m, word, t), trace=None)
-        assert accepts(word, t) == want, t
+        assert turing.accepts_within(m, word, t, want_trace=False) == want, t
         assert replace(turing.accepts_within(m, word, t), trace=None) == want, t
 
 
@@ -147,15 +148,6 @@ def test_right_moving_walk_matches_reference(case):
 def test_right_moving_acceptor_matches_the_search(case):
     m, word = case
     assert_acceptor_matches(right_moving(m), word)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(machines())
-def test_acceptor_only_for_deterministic_right_moving_machines(case):
-    m, _ = case
-    moves = {mv for targets in m.transitions.values() for tr in targets for mv in tr.moves}
-    fast = turing.is_deterministic(m) and moves <= {"R"}
-    assert (turing.right_moving_acceptor(m) is not None) == fast
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -228,7 +220,7 @@ SECOND_TAPE_LEFT = make_machine(
 
 
 def test_a_left_move_keeps_the_search():
-    assert turing.right_moving_acceptor(BOUNCE) is None
+    assert turing._walk(BOUNCE, ("a", "a"), 5, None, run=False) == 1  # hands over
     assert turing.accepts_within(BOUNCE, "aa", 5, want_trace=False) == RunOutcome("dead-end", 1, 2)
     assert turing.run_deterministic(BOUNCE, "aa", 5) == RunOutcome("bound-exceeded", 5, 2)
 
@@ -237,23 +229,12 @@ def test_rejecting_at_the_bound_is_bound_exceeded():
     """The search skips the reject state, so a rejection on step t reads as
     the bound reached, and one before step t as a dead end."""
     wide, _ = harness.build_machine_pair("digit-sum-parity", 2, 4)
-    accepts = turing.right_moving_acceptor(wide)
     word = ("1", "0")
     assert turing.run_deterministic(wide, word, 3) == RunOutcome("rejected", 3, 4)
     for t, verdict in ((3, "bound-exceeded"), (4, "dead-end")):
-        assert accepts(word, t) == RunOutcome(verdict, 3, 4), t
-        assert accepts(word, t) == replace(reference_search(wide, word, t), trace=None), t
-
-
-def test_acceptor_refuses_what_the_search_refuses():
-    m = fixtures.even_a_machine()
-    accepts = turing.right_moving_acceptor(m)
-    for word, t in (("aa", -1), ("aa", True), ("aa", 2.0), ("ab", 3)):
-        with pytest.raises(ValueError) as fast:
-            accepts(word, t)
-        with pytest.raises(ValueError) as search:
-            turing.accepts_within(m, word, t, want_trace=False)
-        assert str(fast.value) == str(search.value), (word, t)
+        outcome = turing.accepts_within(wide, word, t, want_trace=False)
+        assert outcome == RunOutcome(verdict, 3, 4), t
+        assert outcome == replace(reference_search(wide, word, t), trace=None), t
 
 
 #: Deterministic and right-moving: reads its a's, then steps between q0
@@ -306,11 +287,12 @@ SECOND_TAPE_KEYED = make_machine(
     "blank-loop-t1023", "blank-loop-t1024", "blank-loop-empty-word",
 ])
 def test_walk_edge_cases(m, word, t, want):
-    accepts = turing.right_moving_acceptor(m)
-    assert accepts is not None
-    assert accepts(tuple(word), t) == want
-    assert turing.accepts_within(m, tuple(word), t, want_trace=False) == want
-    assert replace(reference_search(m, tuple(word), t), trace=None) == want
+    """The walk alone decides each case, on the memo that the cases before
+    left on the machine, and the untraced search equals it."""
+    word = tuple(word)
+    assert turing._walk(m, word, t, None, run=False) == want
+    assert turing.accepts_within(m, word, t, want_trace=False) == want
+    assert replace(reference_search(m, word, t), trace=None) == want
 
 
 #: Walks right over its a's, turns left on the first blank and accepts on
@@ -476,7 +458,7 @@ def test_fixture_suite_matches_reference():
                 assert_search_matches(m, tuple(word))
                 if turing.is_deterministic(m):
                     assert_run_matches(m, tuple(word))
-                if turing.right_moving_acceptor(m) is not None:
+                if turing.is_deterministic(m) and m == right_moving(m):
                     assert_acceptor_matches(m, tuple(word))
                 if m == right_moving(m):
                     assert_walk_matches(m, tuple(word))
@@ -485,20 +467,19 @@ def test_fixture_suite_matches_reference():
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(machines())
 def test_one_walker_serves_every_bound(case):
-    """One walker's memo, filled by each call in turn, gives every bound
-    and mode of ``assert_walk_matches`` the reference's outcome, as a fresh
-    walk per call does."""
+    """One machine's memo, filled by each call in turn, gives every bound
+    and mode of ``assert_walk_matches`` the reference's outcome.  The same
+    calls again work out no step: each is a lookup in the memo the first
+    ones filled, which equals the memo they fill on a fresh machine."""
     m, word = case
     m = right_moving(m)
-    walk = turing._walker(m)
-
-    def shared(machine, *args, **kwargs):
-        assert machine is m
-        return walk(*args, **kwargs)
-
+    assert_walk_matches(m, word)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(turing, "_walk", shared)
+        mp.setattr(turing, "_fill", lambda *args: pytest.fail("a known step was worked out"))
         assert_walk_matches(m, word)
+    fresh = replace(m)
+    assert_walk_matches(fresh, word)
+    assert fresh._memo == m._memo
 
 
 #: Nondeterministic and right-moving: guesses an a followed by a b, dies
@@ -514,24 +495,60 @@ GUESS_AB = turing.scanner("q0", "ab", {
 @pytest.mark.parametrize("m", [*fixtures.fixture_suite().values(), GUESS_AB],
                          ids=[*fixtures.fixture_suite(), "guess-ab"])
 def test_memo_holds_nothing_of_a_call(m):
-    """One acceptor and one walker, each called first on a long word with a
-    large bound and then on short words with bounds around their length,
-    without and with a space bound, and the walker as run and as search in
-    turn: every outcome equals a fresh engine's."""
+    """One machine, called first on a long word with a large bound and then
+    on short words with bounds around their length, without and with a
+    space bound, as run and as search in turn: every outcome equals the one
+    on a fresh copy of the machine, whose memo is empty."""
+    m = replace(m)  # a memo of this test's calls only
     symbols = sorted(m.input_alphabet)
     long_word = tuple(symbols[i * i % len(symbols)] for i in range(40))
     short_words = [()] + [w for k in (1, 2, 3) for w in itertools.product(symbols, repeat=k)]
     calls = [(long_word, 200)] + [(w, t) for w in short_words for t in (0, 1, len(w), len(w) + 1)]
-    accepts = turing.right_moving_acceptor(m)
-    walk = turing._walker(m)
     deterministic = turing.is_deterministic(m)
     for k, (word, t) in enumerate(calls):
-        if accepts is not None:
-            assert accepts(word, t) == turing.accepts_within(m, word, t, want_trace=False)
-        walks = [(None, False, turing.accepts_within(m, word, t, want_trace=False))]
-        walks += [(s, False, turing.accepts_within_space(m, word, t, s, want_trace=False))
-                  for s in (1, len(word) + 1, len(word) + 2)]
+        modes = [("accept", None)] + [("space", s) for s in (1, len(word) + 1, len(word) + 2)]
         if deterministic:  # the run goes first on even calls, last on odd ones
-            walks.insert(k % 2 * len(walks), (None, True, turing.run_deterministic(m, word, t)))
-        for space, run, want in walks:
-            assert walk(word, t, space, run) == want, (word, t, space, run)
+            modes.insert(k % 2 * len(modes), ("run", None))
+        for mode, s in modes:
+            want = untraced(replace(m), word, mode, t, s)
+            assert untraced(m, word, mode, t, s) == want, (word, t, mode, s)
+
+
+def test_a_replaced_table_starts_a_fresh_memo():
+    """A machine made by ``replace`` from a walked one decides by its own
+    table, not by the memo of the machine it was made from."""
+    m = fixtures.even_a_machine()
+    swap = {"qA": "qR", "qR": "qA"}
+    odd_table = {key: tuple(replace(tr, next_state=swap.get(tr.next_state, tr.next_state))
+                            for tr in targets)
+                 for key, targets in m.transitions.items()}
+    verdicts = ("rejected", "accepted")
+    for n in range(4):
+        assert turing.run_deterministic(m, ("a",) * n, 9).verdict == verdicts[n % 2 == 0]
+    odd = replace(m, transitions=odd_table)
+    for n in range(4):
+        word = ("a",) * n
+        assert turing.run_deterministic(odd, word, 9).verdict == verdicts[n % 2 == 1]
+        for t in range(MAX_T + 1):
+            want = replace(reference_search(odd, word, t), trace=None)
+            assert turing.accepts_within(odd, word, t, want_trace=False) == want, (n, t)
+
+
+@pytest.mark.parametrize("m", [*fixtures.fixture_suite().values(), GUESS_AB],
+                         ids=[*fixtures.fixture_suite(), "guess-ab"])
+def test_a_walked_machine_is_the_same_machine(m):
+    """Walks fill the memo, not a field: the machine still equals and prints
+    as a fresh copy, and pickles, memo and all, to a machine that decides
+    every word alike."""
+    m, fresh = replace(m), replace(m)
+    words = [w for k in range(4) for w in itertools.product(sorted(m.input_alphabet), repeat=k)]
+    modes = ("accept", "space")
+    outcomes = [untraced(m, w, mode, 5, 3) for w in words for mode in modes]
+    assert "_memo" in vars(m)  # the walks made it
+    assert m == fresh
+    assert repr(m) == repr(fresh)
+    assert format_machine(m) == format_machine(fresh)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m
+    assert copy._memo == m._memo
+    assert [untraced(copy, w, mode, 5, 3) for w in words for mode in modes] == outcomes
