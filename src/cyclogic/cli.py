@@ -9,7 +9,12 @@ Every command prints human-readable text by default and a structured JSON
 document under ``--json``; the JSON forms parse back into the library
 types (see ``table_from_obj``, ``outcome_from_obj``,
 ``harness.report_from_obj``).  Each reader accepts exactly what its writer
-writes and raises ValueError for any other document (``harness._inverts``).
+writes and raises ValueError for any other document (``_readback.inverts``).
+
+A call pays only for its subcommand: ``main`` builds a parser that holds
+only the subcommand its first argument names, and ``logic`` and
+``harness`` are imported by the commands that use them, so ``cyclogic tm``
+and ``cyclogic encode`` load neither.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import json
 import os
 import stat
 import sys
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import harness, logic, radix
+from . import radix
+from ._readback import inverts
 from .machinefile import MachineFileError, parse_machine_file
 from .turing import (
     VERDICT_ACCEPTED,
@@ -38,6 +44,9 @@ from .turing import (
     validate,
 )
 
+if TYPE_CHECKING:
+    from . import logic
+
 
 class UsageError(Exception):
     """Bad command usage; reported on stderr with exit code 2."""
@@ -51,6 +60,8 @@ def table_to_obj(
     table: logic.UnaryTable | logic.BinaryTable,
 ) -> dict:
     """Structured document: {modulus, kind, index, outputs} (exponents only)."""
+    from . import logic
+
     if isinstance(table, logic.UnaryTable):
         return _table_doc(table.modulus, "unary", list(index.indices), list(table.outputs))
     return _table_doc(table.modulus, "binary", [list(row) for row in index.matrix],
@@ -70,7 +81,7 @@ _CLASSIFICATION_KEYS = ("classification", "catalog_label", "catalog_agrees")
 def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
                                        logic.UnaryTable | logic.BinaryTable]:
     """Parse a ``table_to_obj`` document; any other raises ValueError (see
-    ``harness._inverts``).  The outputs are computed from the index, not read.
+    ``_readback.inverts``).  The outputs are computed from the index, not read.
     The classification keys that ``table --json`` adds at n = 2 are not read."""
     if not isinstance(obj, dict):
         raise ValueError(f"a table document is a JSON object, got {obj!r}")
@@ -78,8 +89,10 @@ def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
     return _table_from_doc({key: value for key, value in obj.items() if key not in unread})
 
 
-@harness._inverts(lambda pair: table_to_obj(*pair))
+@inverts(lambda pair: table_to_obj(*pair))
 def _table_from_doc(doc: dict) -> tuple:
+    from . import logic
+
     n = int(doc["modulus"])
     if doc["kind"] == "unary":
         idx = logic.UnaryIndex(n, tuple(map(int, doc["index"])))
@@ -98,10 +111,10 @@ def id_to_obj(desc: InstantaneousDescription) -> dict:
     }
 
 
-@harness._inverts(id_to_obj)
+@inverts(id_to_obj)
 def id_from_obj(obj: dict) -> InstantaneousDescription:
     """Parse an ``id_to_obj`` document; any other raises ValueError (see
-    ``harness._inverts``)."""
+    ``_readback.inverts``)."""
     return InstantaneousDescription(
         str(obj["state"]),
         tuple(tuple(map(str, tape)) for tape in obj["tapes"]),
@@ -121,10 +134,10 @@ def outcome_to_obj(outcome: RunOutcome) -> dict:
 _VERDICTS = (VERDICT_ACCEPTED, VERDICT_REJECTED, VERDICT_DEAD_END, VERDICT_BOUND_EXCEEDED)
 
 
-@harness._inverts(outcome_to_obj)
+@inverts(outcome_to_obj)
 def outcome_from_obj(obj: dict) -> RunOutcome:
     """Parse an ``outcome_to_obj`` document; any other raises ValueError (see
-    ``harness._inverts``), as does a verdict the engine never gives."""
+    ``_readback.inverts``), as does a verdict the engine never gives."""
     if obj["verdict"] not in _VERDICTS:
         raise ValueError(f"verdict must be one of {_VERDICTS}, got {obj['verdict']!r}")
     trace = obj["trace"]
@@ -140,6 +153,8 @@ def outcome_from_obj(obj: dict) -> RunOutcome:
 # Text rendering
 
 def _value_grid(table: logic.UnaryTable | logic.BinaryTable) -> str:
+    from . import logic
+
     n = table.modulus
     if isinstance(table, logic.UnaryTable):
         header, rows = "a\tout", [(e,) for e in table.outputs]
@@ -153,6 +168,8 @@ def _value_grid(table: logic.UnaryTable | logic.BinaryTable) -> str:
 
 
 def _parse_index(kind: str, n: int, text: str):
+    from . import logic
+
     logic._check_arity(n)  # a domain error (exit 1), as in enumerate, before the entry count
     try:
         values = tuple(int(part) for part in text.split(","))
@@ -173,6 +190,8 @@ def _parse_index(kind: str, n: int, text: str):
 
 
 def _build_table(args) -> tuple:
+    from . import logic
+
     idx = _parse_index(args.kind, args.n, args.index)
     if args.kind == "unary":
         return idx, logic.unary_from_index(idx)
@@ -183,6 +202,8 @@ def _classification(args, idx, table) -> dict:
     """The classification fields that ``table`` (at n=2) and ``classify``
     print: the computed connective, the catalog label and whether the two
     agree.  Off arity 2 the classifier raises "not boolean" (exit 1)."""
+    from . import logic
+
     classify = logic.classify_unary if args.kind == "unary" else logic.classify_binary
     computed = classify(table, logic.TruthConvention(args.true_exponent))
     check = logic.check_label(args.kind, idx.flat, computed)
@@ -231,6 +252,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from . import logic
+
     # Everything that can fail (the size guard included) runs before the
     # output file is opened, so a failure leaves no file behind.
     if args.distinct_only:
@@ -332,6 +355,8 @@ def _rendered_family(args, render, sep: str) -> Iterator[tuple[str, str]]:
     and outputs texts come from two products over lists of the same
     lengths, which choose in the same order.
     """
+    from . import logic
+
     positions = logic._family_positions(args.kind, args.n, args.allow_large)
     for a, pairs in enumerate(positions):
         positions[a] = [render(idx) for idx, _ in pairs], [render(out) for _, out in pairs]
@@ -443,6 +468,8 @@ def _int_arg(text: str) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from . import harness
+
     try:
         spec = harness.load_spec(args.spec)
     except OSError as exc:
@@ -461,71 +488,90 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_table_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True, help="logic arity")
+    p.add_argument("--kind", choices=("unary", "binary"), required=True)
+    p.add_argument("--index", required=True,
+                   help="comma-separated index entries (n or n*n of them)")
+    p.add_argument("--true-exponent", type=int, default=0, choices=(0, 1))
+    p.add_argument("--json", action="store_true")
+
+
+def _add_enumerate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--kind", choices=("unary", "binary"), required=True)
+    p.add_argument("--distinct-only", action="store_true",
+                   help="print only the total and distinct counts")
+    p.add_argument("--allow-large", action="store_true",
+                   help="override the enumeration size guard")
+    p.add_argument("--output", default=None, help="write to a file instead of stdout")
+    p.add_argument("--json", action="store_true")
+
+
+def _add_tm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("machine", help="machine description file")
+    p.add_argument("--word", default="",
+                   help="input word: one character per symbol, or whitespace-separated "
+                        "symbols if the machine has a multi-character input symbol")
+    p.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
+    p.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
+    p.add_argument("-s", "--space", type=int, default=None, help="head-position bound")
+    p.add_argument("--trace", action="store_true", help="print the witness path")
+    p.add_argument("--json", action="store_true")
+
+
+def _add_encode_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("word", help="word spec, e.g. b:16|3,10 (digits LSB first)")
+    p.add_argument("action", choices=("value", "rebase", "shift", "check"))
+    p.add_argument("args", nargs="*", help="action arguments")
+    p.add_argument("--json", action="store_true")
+
+
+def _add_experiment_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("spec", help="JSON experiment spec file")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--output", default=None, help="report file (default: stdout)")
+
+
+#: Every subcommand, in help order: name -> (help, add its arguments, run it).
+_COMMANDS = {
+    "table": ("print one generated truth table", _add_table_args, cmd_table),
+    "classify": ("classification only", _add_table_args, cmd_classify),
+    "enumerate": ("stream a whole function family", _add_enumerate_args, cmd_enumerate),
+    "tm": ("run a machine from a description file", _add_tm_args, cmd_tm),
+    "encode": ("radix word operations", _add_encode_args, cmd_encode),
+    "experiment": ("run a step-count experiment", _add_experiment_args, cmd_experiment),
+}
+
+
+def build_parser(only: str | None = None) -> argparse.ArgumentParser:
+    """The ``cyclogic`` parser with every subcommand, or with only the one
+    named ``only``.
+
+    A parser with one subcommand parses that subcommand's argv as the full
+    parser does.  Its usage line, which an unknown flag prints, still lists
+    every command; the full parser leaves the metavar unset, since it also
+    names the command argument in the errors for a missing or unknown one.
+    """
     parser = argparse.ArgumentParser(
         prog="cyclogic",
         description="roots-of-unity logic tables, Turing machine runs, "
                     "radix encodings, and step-count experiments",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_table_args(p):
-        p.add_argument("--n", type=int, required=True, help="logic arity")
-        p.add_argument("--kind", choices=("unary", "binary"), required=True)
-        p.add_argument("--index", required=True,
-                       help="comma-separated index entries (n or n*n of them)")
-        p.add_argument("--true-exponent", type=int, default=0, choices=(0, 1))
-        p.add_argument("--json", action="store_true")
-
-    p_table = sub.add_parser("table", help="print one generated truth table")
-    add_table_args(p_table)
-    p_table.set_defaults(func=cmd_table)
-
-    p_classify = sub.add_parser("classify", help="classification only")
-    add_table_args(p_classify)
-    p_classify.set_defaults(func=cmd_classify)
-
-    p_enum = sub.add_parser("enumerate", help="stream a whole function family")
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--kind", choices=("unary", "binary"), required=True)
-    p_enum.add_argument("--distinct-only", action="store_true",
-                        help="print only the total and distinct counts")
-    p_enum.add_argument("--allow-large", action="store_true",
-                        help="override the enumeration size guard")
-    p_enum.add_argument("--output", default=None, help="write to a file instead of stdout")
-    p_enum.add_argument("--json", action="store_true")
-    p_enum.set_defaults(func=cmd_enumerate)
-
-    p_tm = sub.add_parser("tm", help="run a machine from a description file")
-    p_tm.add_argument("machine", help="machine description file")
-    p_tm.add_argument("--word", default="",
-                      help="input word: one character per symbol, or whitespace-separated "
-                           "symbols if the machine has a multi-character input symbol")
-    p_tm.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
-    p_tm.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
-    p_tm.add_argument("-s", "--space", type=int, default=None, help="head-position bound")
-    p_tm.add_argument("--trace", action="store_true", help="print the witness path")
-    p_tm.add_argument("--json", action="store_true")
-    p_tm.set_defaults(func=cmd_tm)
-
-    p_enc = sub.add_parser("encode", help="radix word operations")
-    p_enc.add_argument("word", help="word spec, e.g. b:16|3,10 (digits LSB first)")
-    p_enc.add_argument("action", choices=("value", "rebase", "shift", "check"))
-    p_enc.add_argument("args", nargs="*", help="action arguments")
-    p_enc.add_argument("--json", action="store_true")
-    p_enc.set_defaults(func=cmd_encode)
-
-    p_exp = sub.add_parser("experiment", help="run a step-count experiment")
-    p_exp.add_argument("spec", help="JSON experiment spec file")
-    p_exp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_exp.add_argument("--output", default=None, help="report file (default: stdout)")
-    p_exp.set_defaults(func=cmd_experiment)
-
+    names = _COMMANDS if only is None else (only,)
+    metavar = None if only is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message

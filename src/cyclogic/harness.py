@@ -31,14 +31,14 @@ summary repeats that note verbatim rather than resolving it.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 import random
 import statistics
 from dataclasses import asdict, dataclass, fields
-from typing import IO, Any, Callable, Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
+from ._readback import inverts
 from .radix import RadixWord, format_word, parse_word, rebase
 from .turing import (
     TuringMachine,
@@ -320,35 +320,13 @@ def report_to_obj(report: StepReport) -> dict:
     }
 
 
-def _inverts(write: Callable[[Any], object]):
-    """Decorate a reader of ``write``'s documents.  The reader converts each
-    leaf to the type ``write`` emits and builds the object.  The decorated
-    reader returns it if ``write`` gives the document back exactly (the same
-    JSON text: 1, 1.0 and true differ, "ab" is not ["a", "b"], NaN is never
-    written), and raises ValueError otherwise, for a malformed shape too.
-    """
-    def decorate(read):
-        @functools.wraps(read)
-        def read_back(doc):
-            try:
-                value = read(doc)
-                written, given = (json.dumps(o, sort_keys=True, allow_nan=False)
-                                  for o in (write(value), doc))
-            except (KeyError, IndexError, TypeError, AttributeError, OverflowError) as exc:
-                raise ValueError(f"not a written document: {type(exc).__name__}: {exc}") from None
-            if written != given:
-                raise ValueError(f"document differs from its written form {written[:200]}")
-            return value
-        return read_back
-    return decorate
-
-
-@_inverts(report_to_obj)
+@inverts(report_to_obj)
 def report_from_obj(obj: dict) -> StepReport:
     """Parse a ``report_to_obj`` document; any other raises ValueError (see
-    ``_inverts``).  Row ``l``, ``b`` and ``agree`` and the summary figures are
-    computed from the words, step counts and ``fitted_exponent``, which is read,
-    not re-fitted: its last bits depend on the platform's ``math.log``."""
+    ``_readback.inverts``).  Row ``l``, ``b`` and ``agree`` and the summary
+    figures are computed from the words, step counts and ``fitted_exponent``,
+    which is read, not re-fitted: its last bits depend on the platform's
+    ``math.log``."""
     rows = tuple(map(_row_from_obj, obj["rows"]))
     fitted = obj["summary"]["fitted_exponent"]
     return StepReport(rows, _summary(rows, None if fitted is None else float(fitted)))

@@ -46,9 +46,14 @@ class RadixWord:
     def __post_init__(self) -> None:
         if self.base < 2:
             raise ValueError(f"base must be >= 2, got {self.base}")
-        for d in self.digits:
+        # A word longer than its base repeats digits, and its set of distinct
+        # digits is built faster than each digit is compared; the first
+        # digit out of range is then found in the word itself.
+        distinct = set(self.digits) if len(self.digits) > self.base else self.digits
+        for d in distinct:
             if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} out of range [0, {self.base})")
+                first = next(d for d in self.digits if not 0 <= d < self.base)
+                raise ValueError(f"digit {first} out of range [0, {self.base})")
 
     def __len__(self) -> int:
         return len(self.digits)

@@ -4,7 +4,10 @@ import itertools
 import json
 import os
 import stat
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -737,3 +740,181 @@ class TestParser:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
+
+
+#: For each command, argv words that parse, so that a flag appended after
+#: them is left over for the top-level parser.
+VALID_ARGS = {
+    "table": ["--n", "2", "--kind", "unary", "--index", "1,1"],
+    "classify": ["--n", "2", "--kind", "binary", "--index", "0,0,0,0"],
+    "enumerate": ["--n", "2", "--kind", "unary"],
+    "tm": ["x.tm"],
+    "encode": ["b:2|1", "value"],
+    "experiment": ["spec.json"],
+}
+#: For each command, argv words with one value outside its option's choices.
+BAD_CHOICE = {
+    "table": ["--n", "2", "--kind", "ternary", "--index", "1,1"],
+    "classify": ["--n", "2", "--kind", "unary", "--index", "1,1", "--true-exponent", "2"],
+    "enumerate": ["--n", "2", "--kind", "ternary"],
+    "tm": ["x.tm", "--mode", "walk"],
+    "encode": ["b:2|1", "negate"],
+    "experiment": ["spec.json", "--format", "xml"],
+}
+TOP_USAGE = "usage: cyclogic [-h] {table,classify,enumerate,tm,encode,experiment} ...\n"
+
+
+def parse_outcome(parser, argv, capsys):
+    """What a parser does with argv: exit code, stdout, stderr, namespace."""
+    try:
+        namespace, code = vars(parser.parse_args(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, out, err, namespace
+
+
+class TestSplitParser:
+    """``main`` builds a parser holding only the command it is given; that
+    parser must print, exit and parse as the full one does."""
+
+    @pytest.fixture(autouse=True)
+    def fixed_width(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    @pytest.mark.parametrize("case", ["help", "missing", "bad-choice", "unknown-flag",
+                                      "help-after-separator", "parses"])
+    def test_split_parser_is_byte_identical_to_the_full_one(self, capsys, command, case):
+        argv = [command] + {
+            "help": ["-h"],
+            "missing": [],
+            "bad-choice": BAD_CHOICE[command],
+            "unknown-flag": VALID_ARGS[command] + ["--nope"],
+            "help-after-separator": VALID_ARGS[command] + ["--", "-h"],
+            "parses": VALID_ARGS[command],
+        }[case]
+        split = parse_outcome(cli.build_parser(command), argv, capsys)
+        full = parse_outcome(cli.build_parser(), argv, capsys)
+        assert split == full
+        code, out, err, namespace = split
+        if case == "help":
+            assert (code, err) == (0, "") and out.startswith(f"usage: cyclogic {command} [-h]")
+        elif case == "parses":
+            assert namespace["func"] is cli._COMMANDS[command][2]
+        elif case == "help-after-separator":  # a word, not the help flag
+            assert out == ""
+        else:
+            assert (code, out) == (2, "")
+        if case == "unknown-flag":
+            assert err == TOP_USAGE + "cyclogic: error: unrecognized arguments: --nope\n"
+
+    def test_main_builds_only_the_named_command(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda *only: built.append(only) or build(*only))
+        for argv in (["encode", "b:2|1", "value"], ["-h"], ["frobnicate"], [], ["--", "tm"]):
+            main(argv)
+        assert built == [("encode",), (None,), (None,), (None,), (None,)]
+
+    def test_no_command_prints_the_usage(self, capsys):
+        assert main([]) == 2
+        assert capsys.readouterr() == (
+            "", TOP_USAGE + "cyclogic: error: the following arguments are required: command\n")
+
+    def test_help_lists_every_command(self, capsys):
+        assert main(["-h"]) == 0
+        assert capsys.readouterr() == (TOP_USAGE + """
+roots-of-unity logic tables, Turing machine runs, radix encodings, and step-
+count experiments
+
+positional arguments:
+  {table,classify,enumerate,tm,encode,experiment}
+    table               print one generated truth table
+    classify            classification only
+    enumerate           stream a whole function family
+    tm                  run a machine from a description file
+    encode              radix word operations
+    experiment          run a step-count experiment
+
+options:
+  -h, --help            show this help message and exit
+""", "")
+
+    def test_unknown_command_names_the_argument(self, capsys):
+        assert main(["tm-long"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        # the list of choices after this prefix is quoted differently by
+        # later Python versions
+        assert err.startswith(
+            TOP_USAGE + "cyclogic: error: argument command: invalid choice: 'tm-long' (")
+
+
+def modules_after(code: str) -> dict:
+    """Run ``code`` in a fresh interpreter with the package on its path; the
+    names of the package's loaded modules, and whatever ``code`` assigned
+    to ``result``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = (f"import json, sys\nresult = None\n{code}\n"
+              "print(json.dumps({'modules': sorted(m for m in sys.modules "
+              "if m.startswith('cyclogic')), 'result': result}))")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportSet:
+    """A command loads only the modules it uses."""
+
+    @pytest.mark.parametrize("argv", [
+        None,
+        ["tm", "{tm}", "--word", "aaaa", "--mode", "accept"],
+        ["tm", "{tm}", "--word", "aa", "--mode", "run", "--json"],
+        ["encode", "b:16|3,10", "rebase", "2"],
+        ["encode", "b:16|3,10", "value", "--json"],
+    ], ids=["import", "tm-accept", "tm-run", "encode-rebase", "encode-value"])
+    def test_cli_leaves_logic_and_harness_unloaded(self, argv):
+        tm = Path(__file__).resolve().parent.parent / "demos" / "machines" / "even_a.tm"
+        code = "import cyclogic.cli"
+        if argv is not None:
+            argv = [str(tm) if word == "{tm}" else word for word in argv]
+            code += f"\nresult = cyclogic.cli.main({argv!r})"
+        done = modules_after(code)
+        assert done["result"] in (None, 0)
+        assert "cyclogic.cli" in done["modules"]
+        assert not {"cyclogic.logic", "cyclogic.harness"} & set(done["modules"])
+
+    @pytest.mark.parametrize("argv, module", [
+        (["table", "--n", "2", "--kind", "unary", "--index", "1,1"], "cyclogic.logic"),
+        (["experiment", "demos/specs/scan_accept.json"], "cyclogic.harness"),
+    ])
+    def test_a_command_loads_what_it_uses(self, argv, module):
+        root = Path(__file__).resolve().parent.parent
+        done = modules_after(f"import os, cyclogic.cli\nos.chdir({str(root)!r})\n"
+                             f"result = cyclogic.cli.main({argv!r})")
+        assert done["result"] == 0
+        assert module in done["modules"]
+
+    def test_every_export_is_its_home_modules_object(self):
+        code = """
+import cyclogic
+loaded_by_import = sorted(m for m in sys.modules if m.startswith('cyclogic.'))
+from cyclogic import logic, radix, turing, machinefile, harness
+star = {}
+exec('from cyclogic import *', star)
+mismatched = []
+for name in cyclogic.__all__:
+    homes = [m for m in (logic, radix, turing, machinefile, harness) if name in vars(m)]
+    value = vars(homes[0])[name] if homes else vars(cyclogic)[name]
+    if not all(vars(m)[name] is value for m in homes) \\
+            or getattr(cyclogic, name) is not value or star[name] is not value:
+        mismatched.append(name)
+result = [loaded_by_import, mismatched, sorted(set(star) - {'__builtins__'}) == sorted(cyclogic.__all__)]
+"""
+        loaded_by_import, mismatched, star_is_all = modules_after(code)["result"]
+        assert loaded_by_import == []
+        assert mismatched == []
+        assert star_is_all

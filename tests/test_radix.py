@@ -41,6 +41,22 @@ class TestWordValue:
         with pytest.raises(ValueError):
             radix.RadixWord(1, (0,))
 
+    # a word longer than its base is checked through its distinct digits,
+    # a shorter one digit by digit; both name the first digit out of range
+    @pytest.mark.parametrize("base, length", [(2, 1001), (10, 1001), (1000, 5), (2**64, 3)])
+    @pytest.mark.parametrize("bad", [-1, -2**70, "base", "base+7"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_digit_error_names_the_first_digit_out_of_range(self, base, length, bad, where):
+        bad = {"base": base, "base+7": base + 7}.get(bad, bad)
+        at = {"first": 0, "middle": length // 2, "last": length - 1}[where]
+        digits = [i % base for i in range(length)]
+        digits[at] = bad
+        later = range(at + 1, length)
+        for i in later[len(later) // 2:]:  # other offenders after the first one
+            digits[i] = base + 1 if bad < 0 else -3
+        with pytest.raises(ValueError, match=rf"^digit {bad} out of range \[0, {base}\)$"):
+            radix.RadixWord(base, tuple(digits))
+
 
 class TestRebase:
     def test_cubic_padding_example(self):
