@@ -24,20 +24,10 @@ unvisited square.
 Bounded acceptance searches the step graph breadth-first with visited-set
 deduplication, so an accepting outcome always carries a minimal-length
 witness path.  The space-bounded variant additionally prunes every
-configuration whose head positions exceed the bound.  While every
-transition that fires moves every head right, no configuration repeats
-and no head reads back a square it wrote: the machine is a finite
-automaton over its input followed by blanks.  So the untraced search and
-the untraced run first walk it (``_walk``): they step the set of states
-reachable at each depth, with no tapes, heads or search bookkeeping.  A
-walk numbers the state sets it reaches and remembers each step from a
-set on a symbol once it is worked out, so a step is one memo lookup.  The
-memo depends on the transition table only, so it lives as long as the
-machine (``TuringMachine._memo``) and serves every later word, bound and
-engine on it.  At the first transition that fires with another move, the
-run goes on stepping from the tapes the walk wrote (``_walked``), and so
-does the search where the walk followed one path and no configuration
-before can recur; any other search starts over.
+configuration whose head positions exceed the bound.  The untraced run
+and search first walk the machine as a finite automaton while every step
+moves every head right, and step configurations only from where the walk
+hands over (``_resume``).
 
 Every step costs O(tapes), whatever the tape length.  A deterministic run
 steps on one mutable list per tape, and writes each of them every step,
@@ -87,6 +77,14 @@ class Transition:
 
 @dataclass(frozen=True)
 class TuringMachine:
+    """A machine as in the module docstring; build it with ``make_machine``
+    or ``scanner``.
+
+    Its transition table must not change after construction: the walk memo
+    (``_memo``) is worked out from the table on first use and kept, so
+    walks after a change would step the old table.
+    """
+
     states: frozenset[str]
     tape_alphabet: frozenset[str]
     blank: str
@@ -358,24 +356,19 @@ def run_deterministic(
 
     Verdicts: accepted/rejected on reaching a final state, dead-end when no
     transition applies, bound-exceeded after max_steps steps.  Without a
-    trace the run walks the machine as a finite automaton (``_walk``) while
-    every step moves every head right, and steps on tapes only from the
-    first step that moves a head left, on the tapes the walk wrote.
+    trace the run steps on tapes only from where the walk hands over
+    (``_resume``).
     """
     _check_bound("step", max_steps, 0)
     if not is_deterministic(m):
         raise NotDeterministic("machine has a non-singleton transition target set")
     start = initial_id(m, w)
+    resumed = (0, start) if want_trace else _resume(m, start, max_steps, None, run=True)
+    if isinstance(resumed, RunOutcome):
+        return resumed
+    steps, start = resumed
     state, heads = start.state, start.heads
     tapes = [list(tape) for tape in start.tapes]
-    steps = 0
-    if not want_trace:
-        walked = _walk(m, start.tapes[0], max_steps, space=None, run=True)
-        if isinstance(walked, RunOutcome):
-            return walked
-        steps = walked
-        state, tapes = _walked(m, start.tapes[0], steps)  # one path: m is deterministic
-        heads = (steps + 1,) * m.tapes
     table, blank = m.transitions, m.blank
     max_head = max(heads)
     trace = [start] if want_trace else None
@@ -408,6 +401,51 @@ def run_deterministic(
     return RunOutcome(verdict, steps, max_head, tuple(trace) if trace is not None else None)
 
 
+def _resume(
+    m: TuringMachine, start: InstantaneousDescription, t: int, space: int | None, run: bool
+) -> RunOutcome | tuple[int, InstantaneousDescription]:
+    """The untraced start of the run (``run`` true, on a deterministic
+    machine) or of the search from the initial configuration ``start``:
+    the walk's outcome, or the depth and configuration to step on from.
+
+    While every transition that fires moves every head right, no
+    configuration repeats and no head reads back a square it wrote: the
+    machine is a finite automaton over its input followed by blanks.  So
+    the walk (``_walk``) steps the set of states reachable at each depth,
+    with no tapes, heads or search bookkeeping, through a memo of the
+    subset construction (Rabin & Scott), built lazily, that lives as long
+    as the machine (``TuringMachine._memo``) and serves every later word,
+    bound and engine on it.
+
+    The walk hands over at depth d, where the first transition fires with
+    another move.  If each walked step fired one transition, which holds
+    in a run, the configuration at depth d is known: step j wrote square
+    j + 1 of every tape, tape 1 keeps the rest of the input, and every
+    head is on square d + 1.  The run goes on from it.  So does the search
+    where none of the walked configurations, which its visited set lacks,
+    can recur: where every later tape is longer than at any depth j < d.
+    Every later step writes square d + 1, and tape 2 is j long at depth j,
+    tape 1 max(n, j) for an input of length n <= d; so on two tapes, or
+    past the input.  Any other search starts over, from ``(0, start)``.
+    """
+    word = start.tapes[0]
+    depth = _walk(m, word, t, space, run)
+    if isinstance(depth, RunOutcome):
+        return depth
+    if not (run or m.tapes > 1 or depth >= len(word)):
+        return 0, start
+    state, writes, idle = m.initial, [], (m.blank,) * (m.tapes - 1)
+    for symbol in itertools.islice(itertools.chain(word, itertools.repeat(m.blank)), depth):
+        targets = m.transitions[state, (symbol,) + idle]
+        if len(targets) > 1:
+            return 0, start
+        writes.append(targets[0].writes)
+        state = targets[0].next_state
+    tapes = [tuple([symbols[j] for symbols in writes]) for j in range(m.tapes)]
+    tapes[0] += word[depth:]
+    return depth, InstantaneousDescription(state, tuple(tapes), (depth + 1,) * m.tapes)
+
+
 _HAND_OVER = -1  # a memo entry: a transition that does not move every head right fires here
 
 
@@ -417,24 +455,23 @@ def _walk(
     """The untraced outcome of the search (``run`` false) or of the run
     (``run`` true, for a deterministic machine) while every fired
     transition moves every head right; as soon as one does not, the depth
-    it fires at, for the caller to go on from (``_walked``).
+    it fires at (``_resume``).
 
-    Until then step d leaves every head on square d + 1, and no head reads
-    back a square it wrote: tape 1 scans the input, then blanks, and every
-    other tape scans the blank just past what it wrote.  So every
-    configuration at depth d scans the same symbols, and the set of their
-    states, kept in order of discovery, decides the verdict.  The search
-    skips the reject state, so a rejection on step t reads as the bound
-    reached and one before as a dead end; the run reports it first.  Every
-    step goes one square further right, so a space bound s allows s - 1
-    steps.
+    Until then every configuration at depth d has every head on square
+    d + 1 and scans the same symbols: tape 1 the input, then blanks, and
+    every other tape the blank just past what it wrote.  So the set of
+    their states, kept in order of discovery, decides the verdict.  The
+    search skips the reject state, so a rejection on step t reads as the
+    bound reached and one before as a dead end; the run reports it first.
+    Every step goes one square further right, so a space bound s allows
+    s - 1 steps.
 
-    The walks on one machine share its memo (``m._memo``), filled as they
-    go (the lazy subset construction): each state set reached gets an id,
-    0 for the empty set and 1 for the initial one, and ``rows[id]`` maps a
-    tape-1 symbol to the next set's id or to ``_HAND_OVER`` (``_fill``).
-    So a step is one dict lookup, and a walk adds at most one set per
-    step.  The memo holds nothing of a call's word or bounds.
+    In the memo (``m._memo``), filled as the walks go, each state set
+    reached gets an id, 0 for the empty set and 1 for the initial one, and
+    ``rows[id]`` maps a tape-1 symbol to the next set's id or to
+    ``_HAND_OVER`` (``_fill``).  So a step is one dict lookup, and a walk
+    adds at most one set per step.  The memo holds nothing of a call's
+    word or bounds.
     """
     sets, _, rows = m._memo
     blank, accept, reject = m.blank, m.accept, m.reject
@@ -493,28 +530,6 @@ def _fill(m: TuringMachine, sid: int, symbol: str) -> int:
     return ids[states]
 
 
-def _walked(
-    m: TuringMachine, word: tuple[str, ...], steps: int
-) -> tuple[str, list[list[str]]] | None:
-    """The state and tapes after the first ``steps`` steps of the walk, if
-    each of them fired one transition; None if one fired more.  Step d
-    wrote square d + 1 of every tape, and tape 1 keeps the rest of the
-    input."""
-    table, blank = m.transitions, m.blank
-    idle = (blank,) * (m.tapes - 1)
-    state = m.initial
-    writes = []
-    for d in range(steps):
-        targets = table[state, (word[d] if d < len(word) else blank,) + idle]
-        if len(targets) > 1:
-            return None
-        writes.append(targets[0].writes)
-        state = targets[0].next_state
-    tapes = [[symbols[j] for symbols in writes] for j in range(m.tapes)]
-    tapes[0] += word[steps:]
-    return state, tapes
-
-
 def accepts_within(
     m: TuringMachine, w: Word, t: int, want_trace: bool = True
 ) -> RunOutcome:
@@ -524,12 +539,8 @@ def accepts_within(
     On acceptance the trace is one minimal-length witness path.  Otherwise
     the verdict is dead-end if the whole step graph was exhausted before
     the bound, or bound-exceeded if unexplored configurations remained.
-    Without a trace the search walks the set of reachable states as a
-    finite automaton (``_walk``) while every transition that fires moves
-    every head right.  If one moves a head left, the search goes on from
-    the walk's configuration when the walk followed one path and its
-    configurations cannot recur (two tapes, or a walk past the input), and
-    searches the step graph from the start otherwise.
+    Without a trace the search starts where the walk hands over
+    (``_resume``).
     """
     return _bounded_search(m, w, t, space=None, want_trace=want_trace)
 
@@ -539,8 +550,8 @@ def accepts_within_space(
 ) -> RunOutcome:
     """As accepts_within, but every configuration on the path (initial and
     accepting ones included) must keep all heads at positions <= s.  The
-    untraced walk of right-moving steps therefore stops after s - 1 steps,
-    as a dead end."""
+    untraced walk (``_resume``) therefore stops after s - 1 steps, as a
+    dead end."""
     _check_bound("space", s, 1)
     return _bounded_search(m, w, t, space=s, want_trace=want_trace)
 
@@ -561,27 +572,11 @@ def _bounded_search(
 ) -> RunOutcome:
     _check_bound("step", t, 0)
     start = initial_id(m, w)
-    depth = 0
-    if not want_trace:
-        walked = _walk(m, start.tapes[0], t, space, run=False)
-        if isinstance(walked, RunOutcome):
-            return walked
-        # Go on from the walk's configuration at depth d if the walk fired
-        # one transition per step and none of its configurations, which the
-        # visited set lacks, can recur.  None can when every later tape is
-        # longer than at any depth j < d: every later step writes square
-        # d + 1, and tape 2 is j long at depth j, tape 1 max(n, j) for an
-        # input of length n <= d.
-        word = start.tapes[0]
-        walked_to = _walked(m, word, walked) if m.tapes > 1 or walked >= len(word) else None
-        if walked_to is not None:
-            state, tapes = walked_to
-            depth = walked
-            start = InstantaneousDescription(
-                state, tuple(map(tuple, tapes)), (depth + 1,) * m.tapes)
+    resumed = (0, start) if want_trace else _resume(m, start, t, space, run=False)
+    if isinstance(resumed, RunOutcome):
+        return resumed
+    depth, start = resumed
     max_head = max(start.heads)
-    if space is not None and max_head > space:
-        return RunOutcome(VERDICT_DEAD_END, 0, max_head)
     if start.state == m.accept:
         return RunOutcome(VERDICT_ACCEPTED, 0, max_head, (start,) if want_trace else None)
     if depth == t:

@@ -310,6 +310,12 @@ class TestEnumerate:
             assert capsys.readouterr().out
 
 
+#: A machine file whose tape count, input alphabet and transition lines
+#: each test fills in.
+MACHINE_HEAD = ("states q0 qA qR\ntapes {tapes}\nblank _\ninput {inputs}\n"
+                "tape_alphabet a x _\ninitial q0\naccept qA\nreject qR\n")
+
+
 class TestTm:
     def test_run_even_a(self, capsys, even_a_file):
         assert main(["tm", even_a_file, "--word", "aa", "--mode", "run"]) == 0
@@ -329,6 +335,46 @@ class TestTm:
         captured = capsys.readouterr()
         assert "writes blank" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("tapes, inputs, trans, violations", [
+        (0, "a", None, ["tape count must be >= 1, got 0"]),
+        (1, "a b", None, ["input symbol 'b' not in the tape alphabet"]),
+        (1, "a", "q9 [a] -> qA [a] [R]", ["transition (q9; a) keyed on unknown state 'q9'"]),
+        # The file grammar gives the scanned, written and move lists one
+        # length, so a scan count off the tape count puts the targets off too.
+        (2, "a", "q0 [a] -> qA [a] [R]", [
+            "transition (q0; a) scans 1 symbols, expected 2",
+            "transition (q0; a) target tuple lengths do not match the tape count",
+        ]),
+        (1, "a", "q0 [z] -> qA [a] [R]", ["transition (q0; z) scans unknown symbol 'z'"]),
+        (1, "a", "q0 [a] -> q9 [a] [R]", ["transition (q0; a) moves to unknown state 'q9'"]),
+        (1, "a", "q0 [a] -> qA [z] [R]", ["transition (q0; a) writes unknown symbol 'z'"]),
+        (1, "a", "q0 [a] -> qA [a] [S]", ["transition (q0; a) has move 'S', expected L or R"]),
+    ], ids=["no-tapes", "input-symbol", "key-state", "scan-and-target-counts",
+            "scanned-symbol", "next-state", "written-symbol", "move"])
+    def test_each_definition_error_is_a_violation(self, capsys, tmp_path, tapes, inputs,
+                                                  trans, violations):
+        path = tmp_path / "bad.tm"
+        text = MACHINE_HEAD.format(tapes=tapes, inputs=inputs)
+        path.write_text(text + (f"trans {trans}\n" if trans else ""))
+        assert main(["tm", str(path), "--word", "a"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "".join(f"violation: {v}\n" for v in violations)
+
+    @pytest.mark.parametrize("machine_text, word, lines", [
+        (lambda: fixtures.EVEN_A_FILE, "", ["accepted 1", "<q0; Λ; 1>", "<qA; x; 2>"]),
+        (lambda: machinefile.format_machine(harness.build_machine_pair("scan-accept", 2, 16)[0]),
+         "10 3", ["accepted 3", "<w0; 10 3; 1>", "<w1; 10 3; 2>", "<w2; 10 3; 3>",
+                  "<qA; 10 3 x; 4>"]),
+    ], ids=["empty-tape", "multi-character-symbols"])
+    def test_trace_text(self, capsys, tmp_path, machine_text, word, lines):
+        """An empty tape prints as Λ; multi-character symbols print
+        space-joined."""
+        path = tmp_path / "m.tm"
+        path.write_text(machine_text())
+        assert main(["tm", str(path), "--word", word, "--mode", "accept", "--trace"]) == 0
+        assert capsys.readouterr().out.splitlines() == lines
 
     def test_unparsable_file(self, capsys, tmp_path):
         path = tmp_path / "broken.tm"
@@ -584,13 +630,14 @@ class TestExperiment:
         assert main(["experiment", str(path)]) == 1
 
 
-@pytest.mark.parametrize("target", ["missing-dir/out", "existing-dir"])
+@pytest.mark.parametrize("target", ["missing-dir/out", "existing-dir", "a-file/out"])
 @pytest.mark.parametrize("argv", [
     ["enumerate", "--n", "2", "--kind", "unary"],
     ["experiment", "SPEC"],
 ], ids=["enumerate", "experiment"])
 def test_unwritable_output_is_a_usage_error(capsys, tmp_path, spec_file, argv, target):
     (tmp_path / "existing-dir").mkdir()
+    (tmp_path / "a-file").write_text("")
     before = sorted(tmp_path.rglob("*"))
     argv = [spec_file if a == "SPEC" else a for a in argv]
     assert main(argv + ["--output", str(tmp_path / target)]) == 2
@@ -598,6 +645,22 @@ def test_unwritable_output_is_a_usage_error(capsys, tmp_path, spec_file, argv, t
     assert captured.out == ""
     assert captured.err.startswith("usage error: cannot write output file: ")
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--n", "2", "--kind", "unary", "--index", "1,x"],
+     "malformed index '1,x'; expected comma-separated integers"),
+    (["table", "--n", "2", "--kind", "unary", "--index", "1,5"],
+     "index entry 5 out of range [0, 2)"),
+    (["encode", "b:16|3,10", "rebase", "x"], "expected an integer, got 'x'"),
+    (["experiment", "DIR/missing.json"], "cannot read spec file: "),
+], ids=["malformed-index", "index-entry-range", "rebase-base", "missing-spec"])
+def test_usage_errors(capsys, tmp_path, argv, message):
+    assert main([a.replace("DIR", str(tmp_path)) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: {message}")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("failure, raised, code", [

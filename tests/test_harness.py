@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cyclogic import harness, radix, turing
+from cyclogic import harness, logic, radix, turing
 from documents import assert_refused_or_read_back, perturbed
 
 
@@ -504,3 +505,14 @@ class TestReports:
         line = harness.summary_line(self.sample())
         assert harness.BOUND_NOTE in line
         assert "fitted exponent" in line
+
+
+@pytest.mark.parametrize("refused, message", [
+    (lambda: harness.build_machine_pair("scan-accept", 0, 4), "length must be >= 1, got 0"),
+    (lambda: harness.build_machine_pair("scan-accept", 2, 1), "base must be >= 2, got 1"),
+    (lambda: radix.rebased_length(-1, 4), "length must be >= 0, got -1"),
+    (lambda: logic.TruthConvention(2), "true_exponent must be 0 or 1"),
+], ids=["pair-length-0", "pair-base-1", "rebased-length-negative", "truth-exponent-2"])
+def test_library_refusals(refused, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        refused()

@@ -99,7 +99,7 @@ def test_run_matches_reference(case):
     assert_run_matches(*case)
 
 
-def assert_acceptor_matches(m, word):
+def assert_memo_across_bounds_matches(m, word):
     """The untraced search of one machine, each bound reusing the walk memo
     the ones before filled, against the reference and the traced search,
     which walks nothing, both without their traces."""
@@ -145,9 +145,9 @@ def test_right_moving_walk_matches_reference(case):
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(machines(deterministic=True))
-def test_right_moving_acceptor_matches_the_search(case):
+def test_memo_across_bounds_matches_the_reference(case):
     m, word = case
-    assert_acceptor_matches(right_moving(m), word)
+    assert_memo_across_bounds_matches(right_moving(m), word)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -459,7 +459,7 @@ def test_fixture_suite_matches_reference():
                 if turing.is_deterministic(m):
                     assert_run_matches(m, tuple(word))
                 if turing.is_deterministic(m) and m == right_moving(m):
-                    assert_acceptor_matches(m, tuple(word))
+                    assert_memo_across_bounds_matches(m, tuple(word))
                 if m == right_moving(m):
                     assert_walk_matches(m, tuple(word))
 
