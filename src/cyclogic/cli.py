@@ -91,16 +91,23 @@ def table_from_obj(obj: dict) -> tuple[logic.UnaryIndex | logic.BinaryIndex,
 
 @inverts(lambda pair: table_to_obj(*pair))
 def _table_from_doc(doc: dict) -> tuple:
+    n = int(doc["modulus"])
+    return _table_of(doc["kind"], n, doc["index"])
+
+
+def _table_of(kind: str, n: int, index) -> tuple:
+    """The (index, table) pair of the ``kind`` table of arity ``n`` whose
+    index entries, each read with ``int``, are ``index``: a list for
+    unary, a list of rows for binary."""
     from . import logic
 
-    n = int(doc["modulus"])
-    if doc["kind"] == "unary":
-        idx = logic.UnaryIndex(n, tuple(map(int, doc["index"])))
+    if kind == "unary":
+        idx = logic.UnaryIndex(n, tuple(map(int, index)))
         return idx, logic.unary_from_index(idx)
-    if doc["kind"] == "binary":
-        idx = logic.BinaryIndex(n, tuple(tuple(map(int, row)) for row in doc["index"]))
+    if kind == "binary":
+        idx = logic.BinaryIndex(n, tuple(tuple(map(int, row)) for row in index))
         return idx, logic.binary_from_index(idx)
-    raise ValueError(f"table kind must be 'unary' or 'binary', got {doc['kind']!r}")
+    raise ValueError(f"table kind must be 'unary' or 'binary', got {kind!r}")
 
 
 def id_to_obj(desc: InstantaneousDescription) -> dict:
@@ -167,7 +174,8 @@ def _value_grid(table: logic.UnaryTable | logic.BinaryTable) -> str:
     return "\n".join(lines)
 
 
-def _parse_index(kind: str, n: int, text: str):
+def _table_from_text(kind: str, n: int, text: str) -> tuple:
+    """The (index, table) pair of the comma-separated index entries ``text``."""
     from . import logic
 
     logic._check_arity(n)  # a domain error (exit 1), as in enumerate, before the entry count
@@ -180,22 +188,11 @@ def _parse_index(kind: str, n: int, text: str):
         raise UsageError(
             f"{kind} index for n={n} needs {expected} entries, got {len(values)}"
         )
+    index = values if kind == "unary" else [values[r * n : (r + 1) * n] for r in range(n)]
     try:
-        if kind == "unary":
-            return logic.UnaryIndex(n, values)
-        rows = tuple(values[r * n : (r + 1) * n] for r in range(n))
-        return logic.BinaryIndex(n, rows)
+        return _table_of(kind, n, index)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _build_table(args) -> tuple:
-    from . import logic
-
-    idx = _parse_index(args.kind, args.n, args.index)
-    if args.kind == "unary":
-        return idx, logic.unary_from_index(idx)
-    return idx, logic.binary_from_index(idx)
 
 
 def _classification(args, idx, table) -> dict:
@@ -225,7 +222,7 @@ def _catalog_lines(fields: dict) -> list[str]:
 # Commands
 
 def cmd_table(args) -> int:
-    idx, table = _build_table(args)
+    idx, table = _table_from_text(args.kind, args.n, args.index)
     fields = _classification(args, idx, table) if table.modulus == 2 else {}
     if args.json:
         print(json.dumps({**table_to_obj(idx, table), **fields}))
@@ -240,7 +237,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    idx, table = _build_table(args)
+    idx, table = _table_from_text(args.kind, args.n, args.index)
     fields = _classification(args, idx, table)
     if args.json:
         print(json.dumps(fields))
@@ -515,7 +512,8 @@ def _add_tm_args(p: argparse.ArgumentParser) -> None:
                         "symbols if the machine has a multi-character input symbol")
     p.add_argument("--mode", choices=("run", "accept", "accept-space"), default="run")
     p.add_argument("-t", "--steps", type=int, default=10_000, help="step bound")
-    p.add_argument("-s", "--space", type=int, default=None, help="head-position bound")
+    p.add_argument("-s", "--space", type=int, default=None,
+                   help="head-position bound; read by --mode accept-space only")
     p.add_argument("--trace", action="store_true", help="print the witness path")
     p.add_argument("--json", action="store_true")
 

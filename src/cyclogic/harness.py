@@ -44,6 +44,7 @@ from .turing import (
     TuringMachine,
     VERDICT_ACCEPTED,
     VERDICT_BOUND_EXCEEDED,
+    _check_integer,
     accepts_within,
     scanner,
 )
@@ -176,12 +177,6 @@ class ExperimentSpec:
         if self.base_rule == "square":
             return 2 ** (l * l)
         return int(self.base_rule)
-
-
-def _check_integer(field: str, value: object) -> None:
-    # bool is an int subclass, but true is no count
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{field} must be an integer, got {value!r}")
 
 
 def spec_from_obj(obj: object) -> ExperimentSpec:

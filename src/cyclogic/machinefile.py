@@ -112,7 +112,7 @@ def parse_machine(text: str) -> TuringMachine:
         tape_alphabet=tape_alphabet,
         blank=blank,
         input_alphabet=input_alphabet,
-        transitions={k: tuple(v) for k, v in transitions.items()},
+        transitions=transitions,
         initial=single("initial"),
         accept=single("accept"),
         reject=single("reject"),

@@ -236,7 +236,8 @@ def validate(m: TuringMachine) -> list[Violation]:
         elif q in (m.accept, m.reject):
             err(f"transition {key} keyed on final state {q!r}")
         if len(scanned) != m.tapes:
-            err(f"transition {key} scans {len(scanned)} symbols, expected {m.tapes}")
+            symbols = "symbol" if len(scanned) == 1 else "symbols"
+            err(f"transition {key} scans {len(scanned)} {symbols}, expected {m.tapes}")
         for s in scanned:
             if s not in m.tape_alphabet:
                 err(f"transition {key} scans unknown symbol {s!r}")
@@ -246,7 +247,8 @@ def validate(m: TuringMachine) -> list[Violation]:
             if t.next_state not in m.states:
                 err(f"transition {key} moves to unknown state {t.next_state!r}")
             if len(t.writes) != m.tapes or len(t.moves) != m.tapes:
-                err(f"transition {key} target tuple lengths do not match the tape count")
+                if len(scanned) == m.tapes:  # else reported once, for the scanned list
+                    err(f"transition {key} target tuple lengths do not match the tape count")
                 continue
             for w in t.writes:
                 if w == m.blank:
@@ -341,10 +343,15 @@ def _write(tapes: list[list[str]], heads: Sequence[int], writes: Sequence[str]) 
             tape[i - 1] = s
 
 
+def _check_integer(name: str, value: object) -> None:
+    # bool is an int subclass, but True is no count
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_bound(what: str, bound: int, least: int, where: str = "") -> None:
-    # a float bound would stop the count between steps, and True is no count
-    if isinstance(bound, bool) or not isinstance(bound, int):
-        raise ValueError(f"{what} bound must be an integer, got {bound!r}")
+    # a float bound would stop the count between steps
+    _check_integer(f"{what} bound", bound)
     if bound < least:
         raise ValueError(f"{what} bound must be >= {least}, got {bound}{where}")
 
@@ -577,11 +584,6 @@ def _bounded_search(
         return resumed
     depth, start = resumed
     max_head = max(start.heads)
-    if start.state == m.accept:
-        return RunOutcome(VERDICT_ACCEPTED, 0, max_head, (start,) if want_trace else None)
-    if depth == t:
-        return RunOutcome(VERDICT_BOUND_EXCEEDED, t, max_head)
-
     table, blank, accept, reject = m.transitions, m.blank, m.accept, m.reject
     # No head gets past square t + 1 within t steps, so t + 1 never prunes.
     limit = t + 1 if space is None else space
@@ -589,14 +591,30 @@ def _bounded_search(
     lengths = tuple(map(len, start.tapes))
     # dedup key -> the nodes with that key, which differ in their tapes
     seen = {(start.state, start.heads, lengths, 0): [0]}
-    # The frontier is a list of sibling groups: the materialised tapes of
-    # their parent, shared, and per member (id, state, heads, lengths,
-    # digest).  A member's own writes are not yet applied to those tapes.
-    frontier = [([list(tape) for tape in start.tapes],
+    # Sibling groups to expand, as (tapes, parent id, members): the tapes
+    # are the parent's but for the parent's own writes, and groups may
+    # share them; a member is (id, state, heads, lengths, digest).  The
+    # root is the one member of a group whose parent is the root.
+    expanded = [([list(tape) for tape in start.tapes], 0,
                  [(0, start.state, start.heads, lengths, 0)])]
+    accepted = 0 if start.state == accept else -1
     while True:
+        if accepted >= 0:
+            trace = _witness(nodes, start, accepted) if want_trace else None
+            return RunOutcome(VERDICT_ACCEPTED, depth, max_head, trace)
+        if depth == t:
+            return RunOutcome(VERDICT_BOUND_EXCEEDED, t, max_head)
+        # The frontier: each group with its parent's tapes.  Of the groups
+        # that share tapes, the last takes them over and the others copy.
+        frontier = []
+        for k, (base, nid, members) in enumerate(expanded):
+            shared = k + 1 < len(expanded) and expanded[k + 1][0] is base
+            tapes = [list(tape) for tape in base] if shared else base
+            parent, writes, _, _, _ = nodes[nid]
+            if parent >= 0:
+                _write(tapes, nodes[parent][4], writes)
+            frontier.append((tapes, members))
         expanded = []
-        accepted = -1
         for base, members in frontier:
             for nid, state, heads, lengths, digest in members:
                 if state == reject:
@@ -617,17 +635,13 @@ def _bounded_search(
                                 h ^= hash((j, i, old))
                             if new != blank:
                                 h ^= hash((j, i, new))
-                    key = (tr.next_state, moved, grown, h)
                     cid = len(nodes)
                     nodes.append((nid, tr.writes, scanned, tr.next_state, moved))
-                    same_key = seen.get(key)
-                    if same_key is None:
-                        seen[key] = [cid]
-                    elif any(_same_tapes(nodes, cid, other) for other in same_key):
+                    same_key = seen.setdefault((tr.next_state, moved, grown, h), [])
+                    if any(_same_tapes(nodes, cid, other) for other in same_key):
                         nodes.pop()
                         continue
-                    else:
-                        same_key.append(cid)
+                    same_key.append(cid)
                     children.append((cid, tr.next_state, moved, grown, h))
                     max_head = max(max_head, *moved)
                     if tr.next_state == accept and accepted < 0:
@@ -637,22 +651,6 @@ def _bounded_search(
         if not expanded:
             return RunOutcome(VERDICT_DEAD_END, depth, max_head)
         depth += 1
-        if accepted >= 0:
-            trace = _witness(nodes, start, accepted) if want_trace else None
-            return RunOutcome(VERDICT_ACCEPTED, depth, max_head, trace)
-        if depth == t:
-            return RunOutcome(VERDICT_BOUND_EXCEEDED, t, max_head)
-        # Materialise the tapes of every member with children.  Siblings
-        # share their parent's tapes; the last sibling that needs them
-        # takes them over, the others copy.
-        frontier = []
-        for k, (base, nid, children) in enumerate(expanded):
-            shared = k + 1 < len(expanded) and expanded[k + 1][0] is base
-            tapes = [list(tape) for tape in base] if shared else base
-            parent, writes, _, _, _ = nodes[nid]
-            if parent >= 0:
-                _write(tapes, nodes[parent][4], writes)
-            frontier.append((tapes, children))
 
 
 def _same_tapes(nodes: list[_Node], a: int, b: int) -> bool:

@@ -341,11 +341,9 @@ class TestTm:
         (1, "a b", None, ["input symbol 'b' not in the tape alphabet"]),
         (1, "a", "q9 [a] -> qA [a] [R]", ["transition (q9; a) keyed on unknown state 'q9'"]),
         # The file grammar gives the scanned, written and move lists one
-        # length, so a scan count off the tape count puts the targets off too.
-        (2, "a", "q0 [a] -> qA [a] [R]", [
-            "transition (q0; a) scans 1 symbols, expected 2",
-            "transition (q0; a) target tuple lengths do not match the tape count",
-        ]),
+        # length, so a scan count off the tape count puts the targets off
+        # too; that is reported once, for the scanned list.
+        (2, "a", "q0 [a] -> qA [a] [R]", ["transition (q0; a) scans 1 symbol, expected 2"]),
         (1, "a", "q0 [z] -> qA [a] [R]", ["transition (q0; z) scans unknown symbol 'z'"]),
         (1, "a", "q0 [a] -> q9 [a] [R]", ["transition (q0; a) moves to unknown state 'q9'"]),
         (1, "a", "q0 [a] -> qA [z] [R]", ["transition (q0; a) writes unknown symbol 'z'"]),

@@ -94,6 +94,28 @@ class TestValidate:
         assert "blank" in messages
         assert "empty target set" in messages
 
+    @pytest.mark.parametrize("scanned, target, message", [
+        (("a",), Transition("qA", ("a", "a"), ("R", "R")), "scans 1 symbol, expected 2"),
+        (("a", "_", "_"), Transition("qA", ("a",), ("R",)), "scans 3 symbols, expected 2"),
+        (("a", "_"), Transition("qA", ("a",), ("R", "R")),
+         "target tuple lengths do not match the tape count"),
+    ], ids=["scan-count", "scan-count-and-target", "target"])
+    def test_tape_count_mismatch_reported_once(self, scanned, target, message):
+        m = make_machine(
+            states=["q0", "qA", "qR"],
+            tape_alphabet=["a", "_"],
+            blank="_",
+            input_alphabet=["a"],
+            transitions={("q0", scanned): (target,)},
+            initial="q0",
+            accept="qA",
+            reject="qR",
+            tapes=2,
+        )
+        assert [v.message for v in turing.validation_errors(m)] == [
+            f"transition (q0; {','.join(scanned)}) {message}"
+        ]
+
     def test_fixture_suite_has_no_errors(self):
         for name, m in fixtures.fixture_suite().items():
             assert turing.validation_errors(m) == [], name

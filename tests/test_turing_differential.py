@@ -1,7 +1,8 @@
 """The search and run engine against the reference engine in ``oracles``.
 
 Random small machines (1-2 tapes, deterministic and nondeterministic, with
-loops, left moves from square 1 and writes that grow the tape) must give
+loops, left moves from square 1, writes that grow the tape and, in one
+variant, writes of the blank) must give
 exactly the reference outcome, witness path included, for every step and
 space bound.  The untraced search and run walk right-moving steps as a
 finite automaton over a memo kept on the machine: every walk must give
@@ -30,12 +31,14 @@ MAX_SPACE = 5
 def machines(draw, deterministic=None):
     """A machine and an input word.  Every (state, scanned) key, final
     states included, draws its own target list; an empty one leaves the
-    key out of the table."""
+    key out of the table.  In one variant the machine may write the blank:
+    ``make_machine`` builds such machines, and ``validate`` only flags them."""
     tapes = draw(st.integers(1, 2))
     work = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
     states = work + ["qA", "qR"]
     inputs = draw(st.sampled_from([["a"], ["a", "b"]]))
-    written = inputs + ["x"]
+    symbols = inputs + ["x", "_"]
+    written = symbols if draw(st.booleans()) else symbols[:-1]
     if deterministic is None:
         deterministic = draw(st.booleans())
     targets = st.lists(
@@ -48,12 +51,12 @@ def machines(draw, deterministic=None):
         max_size=1 if deterministic else 3,
     )
     transitions = {}
-    for key in itertools.product(states, itertools.product(written + ["_"], repeat=tapes)):
+    for key in itertools.product(states, itertools.product(symbols, repeat=tapes)):
         if chosen := draw(targets):
             transitions[key] = chosen
     m = make_machine(
         states=states,
-        tape_alphabet=written + ["_"],
+        tape_alphabet=symbols,
         blank="_",
         input_alphabet=inputs,
         transitions=transitions,
@@ -438,10 +441,23 @@ def test_search_resumes_only_where_no_walked_configuration_recurs(m, word, resum
         assert untraced_scans == len(scans)
 
 
+#: Writes the blank past its input on one branch, so two configurations
+#: that show the same symbols differ in their tape lengths: <q3; a; 2> at
+#: depth 1, and <q3; a_; 2> at depth 3, which steps on to a configuration
+#: the other branch reached at depth 2.
+BLANK_TWIN = one_tape({
+    ("q0", "a"): [("q3", "a", "R"), ("q1", "a", "R")],
+    ("q1", "_"): [("q2", "_", "L")],
+    ("q2", "a"): [("q3", "a", "R")],
+    ("q3", "_"): [("q4", "x", "R")],
+})
+
+
 @pytest.mark.parametrize("colliding", [False, True])
 @pytest.mark.parametrize("m, word, verdict", [
     (SIBLINGS, "a", "accepted"),
     (REWRITING_LOOP, "aa", "dead-end"),
+    (BLANK_TWIN, "a", "dead-end"),
 ])
 def test_crafted_machines(m, word, verdict, colliding):
     with pytest.MonkeyPatch.context() as mp:
